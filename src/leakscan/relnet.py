@@ -7,6 +7,14 @@ the mask 28x28x1 -> 14x14xF -> 3x3xF; one fully-connected layer embeds the
 position/class vectors, a second mixes that embedding with the flattened
 mask features, and a linear head feeds softmax.
 
+Each conv+pool stage is one fused layer that runs conv -> max over pool
+phases -> ReLU: the 3x3 convolution (im2col + GEMM) is evaluated separately
+for each of the four 2x2 pool phases, the phase maps are folded with an
+elementwise max, and ReLU is applied to the pooled map.  This equals
+conv -> ReLU -> max-pool without building the full-resolution conv output.
+Each pooled gradient goes to the first phase in row-major window order that
+attains the max, so ties go to the first phase.
+
 Everything is plain numpy with hand-written backpropagation; gradients are
 verified against central finite differences in the tests.  All computation
 is float64 and deterministic: fixed seeds reproduce bit-identical parameters
@@ -265,67 +273,93 @@ def make_pair_sample(
 # Layers (batched, NHWC)
 # ---------------------------------------------------------------------------
 
-def _conv_forward(x, w, b, stride, pad):
-    batch, h, wd, _ = x.shape
-    kh, kw, cin, filters = w.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
+def _im2col(xp, kh, kw, stride, oh, ow, r0=0, c0=0):
+    """im2col rows for output positions (r0 + i*stride, c0 + j*stride)."""
+    batch, _, _, cin = xp.shape
     s0, s1, s2, s3 = xp.strides
     win = np.lib.stride_tricks.as_strided(
-        xp,
+        xp[:, r0:, c0:, :],
         shape=(batch, oh, ow, kh, kw, cin),
         strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
     )
-    cols = win.reshape(batch * oh * ow, kh * kw * cin)
-    y = cols @ w.reshape(kh * kw * cin, filters) + b
-    return y.reshape(batch, oh, ow, filters), (cols, xp.shape, x.shape, stride, pad)
+    return win.reshape(batch * oh * ow, kh * kw * cin)
 
 
-def _conv_backward(dy, w, cache):
-    cols, xp_shape, x_shape, stride, pad = cache
-    batch, oh, ow, filters = dy.shape
+def _conv_pool_forward(x, w, b, stride, pad, record=False):
+    """3x3 conv -> 2x2 stride-2 max-pool -> ReLU, one GEMM per pool phase.
+
+    Phase (di, dj) holds the conv outputs at rows 2i+di and columns 2j+dj,
+    so the pool is an elementwise max over the four phase maps.  Adding the
+    bias rounds monotonically and ReLU commutes with max, so the result is
+    pool(relu(conv)) exactly, provided the GEMM gives each row the value it
+    gets in the full-resolution GEMM.  BLAS may pick another kernel for the
+    smaller row count, which can move a last bit for some shapes; the tests
+    compare against the full-resolution layer with exact arithmetic and at
+    the paper-size net.  With record=True the cache keeps the first phase
+    attaining each max (strict >, so ties go to the earlier phase) for
+    _conv_pool_backward.
+    """
+    batch, h, wd, _ = x.shape
+    kh, kw, cin, filters = w.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+    ph = ((h + 2 * pad - kh) // stride + 1) // 2
+    pw = ((wd + 2 * pad - kw) // stride + 1) // 2
+    w_mat = w.reshape(kh * kw * cin, filters)
+    pooled = np.empty((batch * ph * pw, filters))
+    phase_out = np.empty_like(pooled)
+    idx = np.zeros(pooled.shape, dtype=np.uint8) if record else None
+    for phase in range(4):
+        di, dj = divmod(phase, 2)
+        cols = _im2col(xp, kh, kw, 2 * stride, ph, pw, di * stride, dj * stride)
+        out = pooled if phase == 0 else phase_out
+        np.matmul(cols, w_mat, out=out)
+        out += b
+        if phase:
+            if record:
+                # idx < phase here, so this sets idx to phase exactly where
+                # the phase is strictly larger (a masked copy is much slower).
+                np.maximum(idx, (phase_out > pooled) * np.uint8(phase), out=idx)
+            np.maximum(pooled, phase_out, out=pooled)
+    np.maximum(pooled, 0.0, out=pooled)
+    pooled = pooled.reshape(batch, ph, pw, filters)
+    if record:
+        idx = idx.reshape(pooled.shape)
+    return pooled, (xp, pooled, idx, stride, pad)
+
+
+def _conv_pool_backward(dy, w, cache, need_dx):
+    """Gradients of _conv_pool_forward(record=True); dx is None unless asked.
+
+    The pooled gradient, masked where ReLU was inactive, goes to the
+    recorded phase of a zeroed full-resolution map, which meets the
+    full-resolution im2col rows in one GEMM.
+    """
+    xp, pooled, idx, stride, pad = cache
+    batch, ph, pw, filters = dy.shape
     kh, kw, cin, _ = w.shape
-    dy_mat = dy.reshape(batch * oh * ow, filters)
+    oh, ow = 2 * ph, 2 * pw
+    dm = dy * (pooled > 0)
+    dfull = np.empty((batch, ph, 2, pw, 2, filters))
+    for phase in range(4):
+        di, dj = divmod(phase, 2)
+        # Multiplying by the mask is much faster than a masked copy; adding
+        # 0.0 turns the -0.0 it leaves into the +0.0 of a zero fill.
+        np.add(dm * (idx == phase), 0.0, out=dfull[:, :, di, :, dj, :])
+    dy_mat = dfull.reshape(batch * oh * ow, filters)
+    cols = _im2col(xp, kh, kw, stride, oh, ow)
     dw = (cols.T @ dy_mat).reshape(w.shape)
     db = dy_mat.sum(axis=0)
+    if not need_dx:
+        return None, dw, db
     dcols = (dy_mat @ w.reshape(-1, filters).T).reshape(batch, oh, ow, kh, kw, cin)
-    dxp = np.zeros(xp_shape)
+    dxp = np.zeros(xp.shape)
     for i in range(kh):
         for j in range(kw):
             dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += (
                 dcols[:, :, :, i, j, :]
             )
-    dx = dxp[:, pad : xp_shape[1] - pad, pad : xp_shape[2] - pad, :] if pad else dxp
+    dx = dxp[:, pad : xp.shape[1] - pad, pad : xp.shape[2] - pad, :] if pad else dxp
     return dx, dw, db
-
-
-def _pool_forward(x):
-    # 2x2 max-pool, stride 2; argmax routing picks the first maximum in
-    # row-major window order so gradient flow is deterministic.
-    batch, h, wd, c = x.shape
-    oh, ow = h // 2, wd // 2
-    xr = (
-        x.reshape(batch, oh, 2, ow, 2, c)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(batch, oh, ow, 4, c)
-    )
-    idx = xr.argmax(axis=3)
-    y = np.take_along_axis(xr, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return y, (idx, x.shape)
-
-
-def _pool_backward(dy, cache):
-    idx, x_shape = cache
-    batch, h, wd, c = x_shape
-    oh, ow = h // 2, wd // 2
-    dxr = np.zeros((batch, oh, ow, 4, c))
-    np.put_along_axis(dxr, idx[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-    return (
-        dxr.reshape(batch, oh, ow, 2, 2, c)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(batch, h, wd, c)
-    )
 
 
 def _softmax(logits):
@@ -334,14 +368,16 @@ def _softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward_batch(params: RelNetParams, rasters: np.ndarray, vecs: np.ndarray):
+def _forward_batch(
+    params: RelNetParams, rasters: np.ndarray, vecs: np.ndarray, record: bool = False
+):
     t = params.tensors
-    c1, cache1 = _conv_forward(rasters, t["conv1_w"], t["conv1_b"], stride=1, pad=1)
-    a1 = np.maximum(c1, 0.0)
-    m1, pcache1 = _pool_forward(a1)
-    c2, cache2 = _conv_forward(m1, t["conv2_w"], t["conv2_b"], stride=2, pad=0)
-    a2 = np.maximum(c2, 0.0)
-    m2, pcache2 = _pool_forward(a2)
+    m1, cache1 = _conv_pool_forward(
+        rasters, t["conv1_w"], t["conv1_b"], stride=1, pad=1, record=record
+    )
+    m2, cache2 = _conv_pool_forward(
+        m1, t["conv2_w"], t["conv2_b"], stride=2, pad=0, record=record
+    )
     flat = m2.reshape(m2.shape[0], -1)
     z1 = vecs @ t["fc1_w"] + t["fc1_b"]
     v1 = np.maximum(z1, 0.0)
@@ -352,12 +388,8 @@ def _forward_batch(params: RelNetParams, rasters: np.ndarray, vecs: np.ndarray):
     y = _softmax(logits)
     cache = {
         "vecs": vecs,
-        "c1": c1,
         "cache1": cache1,
-        "pcache1": pcache1,
-        "c2": c2,
         "cache2": cache2,
-        "pcache2": pcache2,
         "m2_shape": m2.shape,
         "z1": z1,
         "z": z,
@@ -384,15 +416,11 @@ def _backward_batch(params: RelNetParams, cache: dict, dlogits: np.ndarray):
     grads["fc1_w"] = cache["vecs"].T @ dz1
     grads["fc1_b"] = dz1.sum(axis=0)
     dm2 = dflat.reshape(cache["m2_shape"])
-    da2 = _pool_backward(dm2, cache["pcache2"])
-    dc2 = da2 * (cache["c2"] > 0)
-    dm1, grads["conv2_w"], grads["conv2_b"] = _conv_backward(
-        dc2, t["conv2_w"], cache["cache2"]
+    dm1, grads["conv2_w"], grads["conv2_b"] = _conv_pool_backward(
+        dm2, t["conv2_w"], cache["cache2"], need_dx=True
     )
-    da1 = _pool_backward(dm1, cache["pcache1"])
-    dc1 = da1 * (cache["c1"] > 0)
-    _, grads["conv1_w"], grads["conv1_b"] = _conv_backward(
-        dc1, t["conv1_w"], cache["cache1"]
+    _, grads["conv1_w"], grads["conv1_b"] = _conv_pool_backward(
+        dm1, t["conv1_w"], cache["cache1"], need_dx=False
     )
     return grads
 
@@ -442,7 +470,7 @@ def forward(params: RelNetParams, sample: PairSample) -> RelNetActivations:
 def _loss_and_grad_batch(params: RelNetParams, batch: list[PairSample]):
     labels = np.array([RELATION_ORDER.index(s.label) for s in batch])
     rasters, vecs = _stack_batch(params.config, batch)
-    *_, logits, y, cache = _forward_batch(params, rasters, vecs)
+    *_, logits, y, cache = _forward_batch(params, rasters, vecs, record=True)
     n = len(batch)
     loss = float(-np.log(y[np.arange(n), labels]).mean())
     dlogits = y.copy()
@@ -555,33 +583,58 @@ def save_params(params: RelNetParams, path: str) -> None:
 
 
 def load_params(path: str) -> RelNetParams:
-    """Read a weight file written by save_params, validating shapes."""
+    """Read a weight file written by save_params, validating its structure.
+
+    Any malformed content raises DataError naming the field or tensor; the
+    checks are per tensor, never per element, so loading stays as fast.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"corrupt weight file {path}: {e}") from None
     if not isinstance(doc, dict) or doc.get("version") != _WEIGHT_FILE_VERSION:
         raise DataError(
             f"weight file version mismatch: expected {_WEIGHT_FILE_VERSION}, "
             f"got {doc.get('version') if isinstance(doc, dict) else doc!r}"
         )
+    config_doc = doc.get("config")
+    if not isinstance(config_doc, dict):
+        raise DataError(
+            f"bad config in weight file: expected an object, got {config_doc!r}"
+        )
+    for field, value in config_doc.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DataError(f"config field {field}: expected an integer, got {value!r}")
     try:
-        config = RelNetConfig(**doc["config"])
-    except (TypeError, KeyError) as e:
+        config = RelNetConfig(**config_doc)
+    except TypeError as e:
         raise DataError(f"bad config in weight file: {e}") from None
-    tensors: dict[str, np.ndarray] = {}
     stored = doc.get("tensors", {})
+    if not isinstance(stored, dict):
+        raise DataError("tensors: expected an object of named tensors")
+    tensors: dict[str, np.ndarray] = {}
     for name, shape in config.tensor_shapes().items():
         if name not in stored:
             raise DataError(f"tensor {name}: missing from weight file")
         entry = stored[name]
-        if tuple(entry.get("shape", ())) != shape:
+        if not isinstance(entry, dict):
+            raise DataError(f"tensor {name}: expected an object with shape and data")
+        got = entry.get("shape")
+        if not isinstance(got, list) or tuple(got) != shape:
             raise DataError(
-                f"tensor {name}: shape mismatch, expected {shape}, "
-                f"got {tuple(entry.get('shape', ()))}"
+                f"tensor {name}: shape mismatch, expected {shape}, got {got!r}"
             )
-        data = np.asarray(entry["data"], dtype=np.float64)
+        if "data" not in entry:
+            raise DataError(f"tensor {name}: missing data")
+        try:
+            data = np.asarray(entry["data"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DataError(
+                f"tensor {name}: data must be a flat list of numbers"
+            ) from None
+        if data.ndim != 1:
+            raise DataError(f"tensor {name}: data must be a flat list of numbers")
         if data.size != int(np.prod(shape)):
             raise DataError(f"tensor {name}: data length does not match shape")
         tensors[name] = data.reshape(shape)

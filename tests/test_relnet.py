@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from leakscan import relnet
 from leakscan.errors import ConfigError, DataError, NumericError
 from leakscan.relnet import (
     EpochStats,
@@ -246,6 +247,138 @@ def test_loss_and_grad_input_checks():
         loss_and_grad(params, [wrong_grid])
 
 
+
+# ---------------------------------------------------------------------------
+# Fused conv -> pool -> ReLU layer against the full-resolution reference
+# ---------------------------------------------------------------------------
+
+def _ref_conv_forward(x, w, b, stride, pad):
+    batch, h, wd, _ = x.shape
+    kh, kw, cin, filters = w.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (wd + 2 * pad - kw) // stride + 1
+    s0, s1, s2, s3 = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(batch, oh, ow, kh, kw, cin),
+        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
+    )
+    cols = win.reshape(batch * oh * ow, kh * kw * cin)
+    y = cols @ w.reshape(kh * kw * cin, filters) + b
+    return y.reshape(batch, oh, ow, filters), (cols, xp.shape, stride, pad)
+
+
+def _ref_conv_backward(dy, w, cache):
+    cols, xp_shape, stride, pad = cache
+    batch, oh, ow, filters = dy.shape
+    kh, kw, cin, _ = w.shape
+    dy_mat = dy.reshape(batch * oh * ow, filters)
+    dw = (cols.T @ dy_mat).reshape(w.shape)
+    db = dy_mat.sum(axis=0)
+    dcols = (dy_mat @ w.reshape(-1, filters).T).reshape(batch, oh, ow, kh, kw, cin)
+    dxp = np.zeros(xp_shape)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += (
+                dcols[:, :, :, i, j, :]
+            )
+    dx = dxp[:, pad : xp_shape[1] - pad, pad : xp_shape[2] - pad, :] if pad else dxp
+    return dx, dw, db
+
+
+def _ref_pool_forward(x):
+    # First maximum in row-major window order wins.
+    batch, h, wd, c = x.shape
+    oh, ow = h // 2, wd // 2
+    xr = (
+        x.reshape(batch, oh, 2, ow, 2, c)
+        .transpose(0, 1, 3, 2, 4, 5)
+        .reshape(batch, oh, ow, 4, c)
+    )
+    idx = xr.argmax(axis=3)
+    y = np.take_along_axis(xr, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return y, (idx, x.shape)
+
+
+def _ref_pool_backward(dy, cache):
+    idx, x_shape = cache
+    batch, h, wd, c = x_shape
+    oh, ow = h // 2, wd // 2
+    dxr = np.zeros((batch, oh, ow, 4, c))
+    np.put_along_axis(dxr, idx[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
+    return (
+        dxr.reshape(batch, oh, ow, 2, 2, c)
+        .transpose(0, 1, 3, 2, 4, 5)
+        .reshape(batch, h, wd, c)
+    )
+
+
+def _ref_conv_pool_forward(x, w, b, stride, pad, record=False):
+    """conv -> ReLU -> argmax pool at full resolution, as a drop-in layer."""
+    c, conv_cache = _ref_conv_forward(x, w, b, stride, pad)
+    pooled, pool_cache = _ref_pool_forward(np.maximum(c, 0.0))
+    return pooled, (c, conv_cache, pool_cache)
+
+
+def _ref_conv_pool_backward(dy, w, cache, need_dx):
+    c, conv_cache, pool_cache = cache
+    dc = _ref_pool_backward(dy, pool_cache) * (c > 0)
+    dx, dw, db = _ref_conv_backward(dc, w, conv_cache)
+    return (dx if need_dx else None), dw, db
+
+
+def _tie_heavy_case(rng, stride, batch=5, cin=3, filters=4):
+    """Inputs and weights on a coarse dyadic grid, so every sum is exact and
+    equal window values are real ties; includes an all-zero raster, a
+    constant raster, a zeroed filter and a filter negative everywhere."""
+    size = 12 if stride == 1 else 14
+    x = rng.choice([0.0, 0.5, 1.0], size=(batch, size, size, cin))
+    x[0] = 0.0
+    x[1] = 0.5
+    x[2, : size // 2] = 1.0
+    w = rng.integers(-2, 3, size=(3, 3, cin, filters)) / 4.0
+    b = rng.integers(-2, 3, size=filters) / 4.0
+    w[..., 0] = 0.0
+    b[0] = 0.0
+    w[..., 1] = -0.25
+    b[1] = -0.5
+    return x, w, b
+
+
+@pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
+def test_conv_pool_matches_full_resolution_reference(stride, pad):
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        x, w, b = _tie_heavy_case(rng, stride)
+        ref, ref_cache = _ref_conv_pool_forward(x, w, b, stride, pad)
+        fused, _ = relnet._conv_pool_forward(x, w, b, stride, pad)
+        out, cache = relnet._conv_pool_forward(x, w, b, stride, pad, record=True)
+        assert np.array_equal(fused, ref)
+        assert np.array_equal(out, ref)
+        assert (ref == 0).any() and (ref > 0).any()
+        dy = rng.integers(-3, 4, size=ref.shape) / 8.0
+        want = _ref_conv_pool_backward(dy, w, ref_cache, need_dx=True)
+        got = relnet._conv_pool_backward(dy, w, cache, need_dx=True)
+        for g, r in zip(got, want):
+            assert np.array_equal(g, r)
+        assert relnet._conv_pool_backward(dy, w, cache, need_dx=False)[0] is None
+
+
+def test_loss_and_grad_matches_reference_at_paper_size(monkeypatch):
+    rng = np.random.default_rng(21)
+    config = RelNetConfig()
+    params = init_params(config, seed=22)
+    batch = synth_batch(rng, 6, config)
+    loss, grads = loss_and_grad(params, batch)
+    monkeypatch.setattr(relnet, "_conv_pool_forward", _ref_conv_pool_forward)
+    monkeypatch.setattr(relnet, "_conv_pool_backward", _ref_conv_pool_backward)
+    ref_loss, ref_grads = loss_and_grad(params, batch)
+    assert loss == ref_loss
+    for name, g in grads.tensors.items():
+        assert g.tobytes() == ref_grads.tensors[name].tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -349,6 +482,50 @@ def test_weight_file_errors(tmp_path):
     p.write_text("{not json")
     with pytest.raises(DataError, match="corrupt"):
         load_params(str(p))
+
+    p = tmp_path / "u.json"
+    p.write_bytes(b'{"version": 1, "config": "\xff\xfe"}')
+    with pytest.raises(DataError, match="corrupt"):
+        load_params(str(p))
+
+    def mutated(tag, keys, value):
+        bad = json.loads(json.dumps(doc))
+        *parents, last = keys
+        node = bad
+        for k in parents:
+            node = node[k]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+        p = tmp_path / f"{tag}.json"
+        p.write_text(json.dumps(bad))
+        return str(p)
+
+    DELETE = object()
+    flat = "data must be a flat list of numbers"
+    cases = [
+        ("list_entry", ("tensors", "fc1_w"), [1.0, 2.0],
+         "tensor fc1_w: expected an object"),
+        ("no_data", ("tensors", "conv1_b", "data"), DELETE,
+         "tensor conv1_b: missing data"),
+        ("text_data", ("tensors", "fc2_b", "data"), ["x"] * 4,
+         f"tensor fc2_b: {flat}"),
+        ("null_shape", ("tensors", "head_b", "shape"), None,
+         "tensor head_b: shape mismatch"),
+        ("float_filters", ("config", "conv1_filters"), 3.0,
+         "config field conv1_filters: expected an integer"),
+        ("nested_data", ("tensors", "head_b", "data"), [[0.0] * 3],
+         f"tensor head_b: {flat}"),
+        ("ragged_data", ("tensors", "head_b", "data"), [[0.0], 0.0, 0.0],
+         f"tensor head_b: {flat}"),
+        ("list_tensors", ("tensors",), [], "tensors: expected an object"),
+        ("list_config", ("config",), [12], "bad config in weight file"),
+        ("unknown_field", ("config", "depth"), 3, "bad config in weight file"),
+    ]
+    for tag, keys, value, message in cases:
+        with pytest.raises(DataError, match=message):
+            load_params(mutated(tag, keys, value))
 
 
 def test_epoch_stats_is_plain_record():
