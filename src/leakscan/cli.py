@@ -49,7 +49,7 @@ def _load_json(path: str, what: str) -> dict:
             return json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from None
 
 
@@ -61,7 +61,7 @@ def _read_scene_dir(path: str) -> list[Scene]:
     for f in files:
         try:
             scenes.append(parse_scene_json(f.read_text(encoding="utf-8")))
-        except DataError as e:
+        except (DataError, UnicodeDecodeError) as e:
             raise DataError(f"{f}: {e}") from None
     return scenes
 
@@ -161,6 +161,8 @@ def _cmd_train_rules(args) -> int:
         text = Path(args.rules).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"rules file not found: {args.rules}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"rules file {args.rules}: {e}") from None
     rules = [ast for ast, _ in logic.parse_rules(text)]
     if not rules:
         raise DataError(f"rules file {args.rules} contains no rules")
@@ -189,6 +191,8 @@ def _cmd_infer(args) -> int:
         text = Path(args.scene).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"scene file not found: {args.scene}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"scene file {args.scene}: {e}") from None
     scene = parse_scene_json(text)
     report = pipeline.run_inference(pipe, scene)
     print(json.dumps(report, indent=2, sort_keys=True))

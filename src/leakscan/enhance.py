@@ -15,6 +15,7 @@ deterministic with ties broken toward the smaller t.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,57 +30,44 @@ _STD_EPS = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
-class GrayImage:
+class _Image:
+    """8-bit image with read-only pixels shaped (height, width, *_CHANNELS)."""
+
+    width: int
+    height: int
+    pixels: np.ndarray
+
+    _CHANNELS: ClassVar[tuple[int, ...]] = ()
+
+    def __post_init__(self):
+        p = np.asarray(self.pixels)
+        shape = (self.height, self.width, *self._CHANNELS)
+        if p.dtype != np.uint8 or p.shape != shape:
+            raise DataError(
+                f"{type(self).__name__} needs uint8 pixels shaped {shape}, "
+                f"got {p.dtype} {p.shape}"
+            )
+        p = p.copy()
+        p.setflags(write=False)
+        object.__setattr__(self, "pixels", p)
+
+    @classmethod
+    def from_array(cls, arr: np.ndarray):
+        arr = np.asarray(arr, dtype=np.uint8)
+        return cls(width=arr.shape[1], height=arr.shape[0], pixels=arr)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and np.array_equal(self.pixels, other.pixels)
+
+
+class GrayImage(_Image):
     """8-bit grayscale image, pixels shaped (height, width)."""
 
-    width: int
-    height: int
-    pixels: np.ndarray
 
-    def __post_init__(self):
-        p = np.asarray(self.pixels)
-        if p.dtype != np.uint8 or p.shape != (self.height, self.width):
-            raise DataError(
-                f"gray image needs uint8 (h, w) pixels, got {p.dtype} {p.shape}"
-            )
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "pixels", p)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "GrayImage":
-        arr = np.asarray(arr, dtype=np.uint8)
-        return cls(width=arr.shape[1], height=arr.shape[0], pixels=arr)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GrayImage) and np.array_equal(self.pixels, other.pixels)
-
-
-@dataclass(frozen=True, eq=False)
-class ColorImage:
+class ColorImage(_Image):
     """8-bit RGB image, pixels shaped (height, width, 3)."""
 
-    width: int
-    height: int
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.pixels)
-        if p.dtype != np.uint8 or p.shape != (self.height, self.width, 3):
-            raise DataError(
-                f"color image needs uint8 (h, w, 3) pixels, got {p.dtype} {p.shape}"
-            )
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "pixels", p)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "ColorImage":
-        arr = np.asarray(arr, dtype=np.uint8)
-        return cls(width=arr.shape[1], height=arr.shape[0], pixels=arr)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ColorImage) and np.array_equal(self.pixels, other.pixels)
+    _CHANNELS = (3,)
 
 
 @dataclass(frozen=True)

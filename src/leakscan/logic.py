@@ -608,7 +608,7 @@ def load_rule_params(path: str) -> list[RuleParams]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"corrupt rule parameter file {path}: {e}") from None
     if not isinstance(doc, dict):
         raise DataError("rule parameter file must be a JSON object")

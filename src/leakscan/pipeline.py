@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import relnet as rn
-from .enhance import ColorImage, GrayImage, enhance_image
 from .errors import ConfigError, DataError
 from .logic import (
     RuleAST,
@@ -33,7 +32,6 @@ from .logic import (
     load_rule_params,
     parse_rules,
 )
-from .pnm import read_pnm
 from .scene import BBox, ClassLabel, DetectedObject, Scene, bbox_iou
 
 DEFAULT_IOU_GRID = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -152,8 +150,6 @@ class PipelineConfig:
     rules_path: str
     relnet_weights_path: str
     rule_params_path: str | None = None  # None: weights inline in the rules file
-    enhance_enabled: bool = False
-    enhance_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     threshold: float = 0.5
     iou_grid: tuple[float, ...] = DEFAULT_IOU_GRID
 
@@ -162,18 +158,12 @@ class PipelineConfig:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
         if not self.iou_grid or any(not (0.0 < t <= 1.0) for t in self.iou_grid):
             raise ConfigError("iou_grid values must lie in (0, 1]")
-        if len(self.enhance_weights) != 3 or any(w < 0 for w in self.enhance_weights):
-            raise ConfigError("enhance_weights needs 3 non-negative values")
 
     def to_dict(self) -> dict:
         return {
             "rules": self.rules_path,
             "relnet_weights": self.relnet_weights_path,
             "rule_params": self.rule_params_path,
-            "enhance": {
-                "enabled": self.enhance_enabled,
-                "weights": list(self.enhance_weights),
-            },
             "threshold": self.threshold,
             "iou_grid": list(self.iou_grid),
         }
@@ -191,7 +181,7 @@ def load_pipeline_config(path: str) -> PipelineConfig:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("pipeline config must be a JSON object")
@@ -202,21 +192,18 @@ def load_pipeline_config(path: str) -> PipelineConfig:
             return None
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    known = {"rules", "relnet_weights", "rule_params", "enhance", "threshold", "iou_grid"}
+    known = {"rules", "relnet_weights", "rule_params", "threshold", "iou_grid"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown pipeline config keys: {', '.join(sorted(unknown))}")
     for req in ("rules", "relnet_weights"):
         if req not in doc:
             raise ConfigError(f"pipeline config missing required key {req!r}")
-    enh = doc.get("enhance", {})
     try:
         return PipelineConfig(
             rules_path=resolve(doc["rules"]),
             relnet_weights_path=resolve(doc["relnet_weights"]),
             rule_params_path=resolve(doc.get("rule_params")),
-            enhance_enabled=bool(enh.get("enabled", False)),
-            enhance_weights=tuple(enh.get("weights", (1.0, 1.0, 1.0))),
             threshold=float(doc.get("threshold", 0.5)),
             iou_grid=tuple(doc.get("iou_grid", DEFAULT_IOU_GRID)),
         )
@@ -246,9 +233,12 @@ def load_pipeline(cfg: PipelineConfig) -> Pipeline:
     """Load and cross-check all model files named by the config."""
     try:
         with open(cfg.rules_path, "r", encoding="utf-8") as fh:
-            parsed = parse_rules(fh.read())
+            text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"rules file not found: {cfg.rules_path}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"rules file {cfg.rules_path}: {e}") from None
+    parsed = parse_rules(text)
     rules = [ast for ast, _ in parsed]
     if not rules:
         raise DataError(f"rules file {cfg.rules_path} contains no rules")
@@ -317,15 +307,6 @@ def scene_pair_probs(params: rn.RelNetParams, scene: Scene):
     return lookup
 
 
-def _enhancement_report(cfg: PipelineConfig, scene: Scene) -> dict | None:
-    if not cfg.enhance_enabled or scene.image_path is None:
-        return None
-    pixels = read_pnm(scene.image_path)
-    img = GrayImage.from_array(pixels) if pixels.ndim == 2 else ColorImage.from_array(pixels)
-    _enhanced, report = enhance_image(img, cfg.enhance_weights)
-    return report.to_dict()
-
-
 def run_inference(pipe: Pipeline, scene: Scene) -> dict:
     """Score one scene; the report is a plain JSON-ready dictionary.
 
@@ -361,7 +342,7 @@ def run_inference(pipe: Pipeline, scene: Scene) -> dict:
                     "other": float(p[2]),
                 }
             )
-    report = {
+    return {
         "config_hash": pipe.hash,
         "leak_probability": probability,
         "threshold": pipe.config.threshold,
@@ -370,10 +351,6 @@ def run_inference(pipe: Pipeline, scene: Scene) -> dict:
         "rule_scores": [float(s) for s in scores],
         "pair_relations": pair_relations,
     }
-    enh = _enhancement_report(pipe.config, scene)
-    if enh is not None:
-        report["enhancement"] = enh
-    return report
 
 
 def baseline_score(scene: Scene) -> float:
@@ -453,21 +430,13 @@ def scene_classification_report(y_true: list[bool], y_pred: list[bool]) -> EvalR
 
 
 def _detections_for_ap(scenes: list[Scene]):
+    """(scene index, confidence, box) of every suspected area, in scene order."""
     preds = []
     for i, scene in enumerate(scenes):
         for o in scene.objects:
             if o.label is ClassLabel.SUSPECTED_AREA:
                 preds.append((i, o.confidence, o.bbox))
     return preds
-
-
-def _gts_for_ap(scenes: list[Scene]):
-    gts = []
-    for i, scene in enumerate(scenes):
-        for o in scene.objects:
-            if o.label is ClassLabel.SUSPECTED_AREA:
-                gts.append((i, o.bbox))
-    return gts
 
 
 def run_eval(
@@ -493,7 +462,8 @@ def run_eval(
     base_scores = [baseline_score(s) for s in scenes]
     pipe_report = scene_classification_report(labels, [p >= tau for p in pipe_scores])
     base_report = scene_classification_report(labels, [b >= tau for b in base_scores])
-    gt = _gts_for_ap(gt_scenes if gt_scenes is not None else scenes)
+    gt_dets = _detections_for_ap(gt_scenes if gt_scenes is not None else scenes)
+    gt = [(i, box) for i, _conf, box in gt_dets]
     preds = _detections_for_ap(scenes)
     ap = {
         "ap50": ap_at_iou(preds, gt, 0.50),

@@ -18,13 +18,16 @@ attains the max, so ties go to the first phase.
 Everything is plain numpy with hand-written backpropagation; gradients are
 verified against central finite differences in the tests.  All computation
 is float64 and deterministic: fixed seeds reproduce bit-identical parameters
-and training histories.
+and training histories.  Weights are saved as an uncompressed numpy .npz
+archive with members version, config (JSON) and one array per tensor name.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -83,6 +86,9 @@ class RelNetConfig:
     n_classes: int = len(RELATION_ORDER)
 
     def __post_init__(self):
+        for k, v in asdict(self).items():
+            if type(v) is not int:  # bool is an int subclass
+                raise ConfigError(f"config field {k}: expected an integer, got {v!r}")
         if self.grid < 8 or self.grid % 2:
             raise ConfigError(f"grid must be even and >= 8, got {self.grid}")
         if self.conv2_out < 2 or self.conv2_out % 2:
@@ -147,7 +153,7 @@ class RelNetParams:
                 f"tensor set mismatch: {sorted(self.tensors)} vs {sorted(expected)}"
             )
         for name, shape in expected.items():
-            t = np.asarray(self.tensors[name], dtype=np.float64)
+            t = np.ascontiguousarray(self.tensors[name], dtype=np.float64)
             if t.shape != shape:
                 raise DataError(
                     f"tensor {name}: shape mismatch, expected {shape}, got {t.shape}"
@@ -569,73 +575,66 @@ def predict_batch(
 # ---------------------------------------------------------------------------
 
 def save_params(params: RelNetParams, path: str) -> None:
-    """Write a versioned JSON weight file; floats round-trip bit-exactly."""
-    doc = {
-        "version": _WEIGHT_FILE_VERSION,
-        "config": asdict(params.config),
-        "tensors": {
-            name: {"shape": list(t.shape), "data": t.ravel().tolist()}
-            for name, t in params.tensors.items()
-        },
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
+    """Write a versioned weight file, an uncompressed numpy ``.npz`` archive.
+
+    Members: ``version`` (0-d int64), ``config`` (the RelNetConfig fields as
+    a JSON string) and one C-order float64 array per name in
+    ``RelNetConfig.tensor_shapes()``.  Floats round-trip bit-exactly.
+    """
+    version = np.int64(_WEIGHT_FILE_VERSION)
+    config = json.dumps(asdict(params.config))
+    with open(path, "wb") as f:  # np.savez appends .npz to a bare path
+        np.savez(f, version=version, config=config, **params.tensors)
+
+
+def _read_member(zf: zipfile.ZipFile, label: str, name: str, shape, dtype: str):
+    """Array in stored member ``name``.npy, read only once its header gives
+    ``shape``, C order and a dtype string starting with ``dtype``; reading in
+    chunks bounds memory by that array, whatever the zip directory claims."""
+    try:
+        info = zf.getinfo(name + ".npy")
+    except KeyError:
+        raise DataError(f"{label}: missing from weight file") from None
+    if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1:
+        raise DataError(f"{label}: compressed or encrypted member")
+    with zf.open(info) as f:
+        np.lib.format.read_magic(f)
+        got, fortran_order, got_dtype = np.lib.format.read_array_header_1_0(f)
+        if got != shape:
+            raise DataError(f"{label}: shape mismatch, expected {shape}, got {got}")
+        if fortran_order:
+            raise DataError(f"{label}: expected C order, got Fortran order")
+        if not got_dtype.str.startswith(dtype):
+            raise DataError(f"{label}: expected dtype {dtype}, got {got_dtype.str}")
+        nbytes = math.prod(shape) * got_dtype.itemsize
+        data = bytearray()
+        while len(data) < nbytes and (chunk := f.read(min(nbytes - len(data), 2**20))):
+            data += chunk
+    if len(data) != nbytes:
+        raise DataError(f"{label}: data ends early")
+    return np.frombuffer(data, dtype=got_dtype).reshape(shape)
 
 
 def load_params(path: str) -> RelNetParams:
-    """Read a weight file written by save_params, validating its structure.
-
-    Any malformed content raises DataError naming the field or tensor; the
-    checks are per tensor, never per element, so loading stays as fast.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DataError(f"corrupt weight file {path}: {e}") from None
-    if not isinstance(doc, dict) or doc.get("version") != _WEIGHT_FILE_VERSION:
-        raise DataError(
-            f"weight file version mismatch: expected {_WEIGHT_FILE_VERSION}, "
-            f"got {doc.get('version') if isinstance(doc, dict) else doc!r}"
-        )
-    config_doc = doc.get("config")
-    if not isinstance(config_doc, dict):
-        raise DataError(
-            f"bad config in weight file: expected an object, got {config_doc!r}"
-        )
-    for field, value in config_doc.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DataError(f"config field {field}: expected an integer, got {value!r}")
-    try:
-        config = RelNetConfig(**config_doc)
-    except TypeError as e:
-        raise DataError(f"bad config in weight file: {e}") from None
-    stored = doc.get("tensors", {})
-    if not isinstance(stored, dict):
-        raise DataError("tensors: expected an object of named tensors")
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in config.tensor_shapes().items():
-        if name not in stored:
-            raise DataError(f"tensor {name}: missing from weight file")
-        entry = stored[name]
-        if not isinstance(entry, dict):
-            raise DataError(f"tensor {name}: expected an object with shape and data")
-        got = entry.get("shape")
-        if not isinstance(got, list) or tuple(got) != shape:
-            raise DataError(
-                f"tensor {name}: shape mismatch, expected {shape}, got {got!r}"
-            )
-        if "data" not in entry:
-            raise DataError(f"tensor {name}: missing data")
+    """Read a weight file written by save_params; a malformed one raises a
+    DataError that names the file."""
+    with open(path, "rb") as fh:
+        if not zipfile.is_zipfile(fh):
+            raise DataError(f"corrupt weight file {path}: not a .npz archive")
         try:
-            data = np.asarray(entry["data"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise DataError(
-                f"tensor {name}: data must be a flat list of numbers"
-            ) from None
-        if data.ndim != 1:
-            raise DataError(f"tensor {name}: data must be a flat list of numbers")
-        if data.size != int(np.prod(shape)):
-            raise DataError(f"tensor {name}: data length does not match shape")
-        tensors[name] = data.reshape(shape)
+            with zipfile.ZipFile(fh) as zf:
+                version = _read_member(zf, "version", "version", (), "<i8")
+                if version != _WEIGHT_FILE_VERSION:
+                    raise DataError(f"version mismatch: expected {_WEIGHT_FILE_VERSION}, got {version}")
+                doc = json.loads(str(_read_member(zf, "config", "config", (), "<U")))
+                try:
+                    config = RelNetConfig(**doc)
+                except (TypeError, ConfigError) as e:
+                    raise DataError(f"bad config in weight file: {e}") from None
+                shapes = config.tensor_shapes().items()
+                tensors = {n: _read_member(zf, f"tensor {n}", n, s, "<f8") for n, s in shapes}
+        # DataError is a ValueError, so this also puts the path on the errors above
+        except (zipfile.BadZipFile, EOFError, NotImplementedError, OSError,
+                RecursionError, ValueError) as e:
+            raise DataError(f"corrupt weight file {path}: {e}") from None
     return RelNetParams(config, tensors)

@@ -427,12 +427,12 @@ def write_pairs_jsonl(pairs: list[LabeledPair], path: str) -> None:
 
 def read_pairs_jsonl(path: str) -> list[LabeledPair]:
     pairs: list[LabeledPair] = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:  # decoded per line, so bad bytes get a line number
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
+                doc = json.loads(line.decode("utf-8"))
                 grid = int(doc["grid"])
                 raster = MaskRaster(
                     grid, grid, np.asarray(doc["raster"], dtype=np.float64).reshape(grid, grid)

@@ -9,6 +9,7 @@ import pytest
 from leakscan.cli import main
 from leakscan.pipeline import DEFAULT_RULES_TEXT
 from leakscan.pnm import read_pnm, write_pnm
+from leakscan.relnet import RelNetConfig, load_params
 
 TRAIN_REL_CONFIG = {
     "net": {"conv1_filters": 4, "conv2_filters": 4, "fc1_units": 16, "fc2_units": 8},
@@ -66,8 +67,8 @@ def test_generated_artifacts_exist(workspace):
     assert len(scenes) == 30
     assert scenes[0].name == "scene_00000.json"
     assert (workspace / "pairs.jsonl").read_text().count("\n") == 45
-    weights = json.loads((workspace / "relnet.json").read_text())
-    assert weights["version"] == 1
+    weights = load_params(str(workspace / "relnet.json"))
+    assert weights.config == RelNetConfig(**TRAIN_REL_CONFIG["net"])
     params = json.loads((workspace / "rule_params.json").read_text())
     assert set(params) == {"0", "1", "2"}
 
@@ -203,6 +204,24 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ["enhance", str(src), "--out", str(tmp_path / "o.pgm"), "--weights", "1,2"]
     ) == 1
     assert "exactly three" in capsys.readouterr().err
+    old_enhance = tmp_path / "pipeline.json"
+    old_enhance.write_text(json.dumps({"rules": "r", "relnet_weights": "w", "enhance": 3}))
+    assert main(["infer", "--config", str(old_enhance), "--scene", "s.json"]) == 1
+    assert "unknown pipeline config keys: enhance" in capsys.readouterr().err
+    float_net = tmp_path / "rel.json"
+    float_net.write_text(json.dumps({"net": {"conv1_filters": 3.0}}))
+    assert main(
+        ["train-rel", "--pairs", str(tmp_path / "p.jsonl"), "--config", str(float_net),
+         "--out", str(tmp_path / "w.npz")]
+    ) == 1
+    assert "config field conv1_filters: expected an integer" in capsys.readouterr().err
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"\xff")
+    assert main(["infer", "--config", str(not_utf8), "--scene", "s.json"]) == 1
+    assert main(
+        ["gen", "scenes", "--config", str(not_utf8), "--out", str(tmp_path / "s")]
+    ) == 1
+    assert capsys.readouterr().err.count("is not valid JSON") == 2
 
 
 def test_data_errors_exit_2(workspace, tmp_path, capsys):
@@ -220,6 +239,46 @@ def test_data_errors_exit_2(workspace, tmp_path, capsys):
          "--scenes", str(empty)]
     ) == 2
     assert "no scene JSON files" in capsys.readouterr().err
+
+
+def _pipeline_config(d, ws, **paths) -> str:
+    doc = {
+        "rules": str(ws / "rules.txt"),
+        "relnet_weights": str(ws / "relnet.json"),
+        "rule_params": str(ws / "rule_params.json"),
+        **paths,
+    }
+    (d / "pipeline.json").write_text(json.dumps(doc))
+    return str(d / "pipeline.json")
+
+
+# argv per text reader, given the workspace, the bad file and its directory.
+NON_UTF8_ARGV = {
+    "infer-scene": lambda ws, bad, d: [
+        "infer", "--config", str(ws / "pipeline.json"), "--scene", bad],
+    "scene-dir": lambda ws, bad, d: [
+        "eval", "--config", str(ws / "pipeline.json"), "--scenes", str(d)],
+    "train-rules-rules": lambda ws, bad, d: [
+        "train-rules", "--rules", bad, "--scenes", str(ws / "scenes"),
+        "--relnet", str(ws / "relnet.json"), "--out", str(d / "o.json")],
+    "pipeline-rules": lambda ws, bad, d: [
+        "infer", "--config", _pipeline_config(d, ws, rules=bad),
+        "--scene", str(ws / "scenes" / "scene_00000.json")],
+    "rule-params": lambda ws, bad, d: [
+        "infer", "--config", _pipeline_config(d, ws, rule_params=bad),
+        "--scene", str(ws / "scenes" / "scene_00000.json")],
+    "pairs-jsonl": lambda ws, bad, d: [
+        "train-rel", "--pairs", bad, "--out", str(d / "w.npz")],
+}
+
+
+@pytest.mark.parametrize("reader", list(NON_UTF8_ARGV))
+def test_non_utf8_input_exits_2(workspace, tmp_path, capsys, reader):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    assert main(NON_UTF8_ARGV[reader](workspace, str(bad), tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "bad.json" in err and "0xff" in err
 
 
 def test_numeric_failure_exits_3(workspace, tmp_path, capsys):

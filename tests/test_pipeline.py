@@ -245,8 +245,6 @@ def test_pipeline_config_validation():
         PipelineConfig(rules_path="r", relnet_weights_path="w", threshold=0.0)
     with pytest.raises(ConfigError, match="iou_grid"):
         PipelineConfig(rules_path="r", relnet_weights_path="w", iou_grid=(0.5, 1.2))
-    with pytest.raises(ConfigError, match="enhance_weights"):
-        PipelineConfig(rules_path="r", relnet_weights_path="w", enhance_weights=(1.0, -1.0, 0.0))
 
 
 def test_config_hash_tracks_content():

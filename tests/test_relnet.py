@@ -1,6 +1,12 @@
 """Tests for the pair-relation network: shapes, gradients, training, files."""
 
+import dataclasses
+import io
 import json
+import struct
+import tracemalloc
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,89 +449,158 @@ def test_training_diverges_to_numeric_error():
 
 def test_weight_file_round_trip_bit_exact(tmp_path):
     params = init_params(TINY, seed=11)
-    path = str(tmp_path / "w.json")
-    save_params(params, path)
-    again = load_params(path)
+    path = tmp_path / "w.json"
+    save_params(params, str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["w.json"]  # no .npz suffix added
+    again = load_params(str(path))
     assert again.config == params.config
     for name in params.tensors:
         np.testing.assert_array_equal(again.tensors[name], params.tensors[name])
+        assert again.tensors[name].flags.writeable
+
+
+def _npz_members(params, path) -> dict[str, np.ndarray]:
+    """The members save_params writes, as a name -> array dict."""
+    save_params(params, str(path))
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _npy(arr=None, header=None, data=b"") -> bytes:
+    """.npy bytes of an array, or of a hand-made header followed by data."""
+    buf = io.BytesIO()
+    if header is None:
+        np.save(buf, arr)
+    else:
+        np.lib.format.write_array_header_1_0(buf, header)
+        buf.write(data)
+    return buf.getvalue()
+
+
+def _write_zip(path, members: dict, compression=zipfile.ZIP_STORED) -> str:
+    with zipfile.ZipFile(path, "w", compression) as zf:
+        for name, data in members.items():
+            zf.writestr(name + ".npy", data)
+    return str(path)
 
 
 def test_weight_file_errors(tmp_path):
-    params = init_params(TINY, seed=12)
-    path = str(tmp_path / "w.json")
-    save_params(params, path)
-    doc = json.loads(open(path).read())
-
-    bad = dict(doc)
-    bad["version"] = 99
-    p = tmp_path / "v.json"
-    p.write_text(json.dumps(bad))
-    with pytest.raises(DataError, match="version mismatch"):
-        load_params(str(p))
-
-    bad = json.loads(json.dumps(doc))
-    bad["tensors"]["fc2_w"]["shape"] = [1, 1]
-    p = tmp_path / "s.json"
-    p.write_text(json.dumps(bad))
-    with pytest.raises(DataError, match="tensor fc2_w: shape mismatch"):
-        load_params(str(p))
-
-    bad = json.loads(json.dumps(doc))
-    del bad["tensors"]["head_w"]
-    p = tmp_path / "m.json"
-    p.write_text(json.dumps(bad))
-    with pytest.raises(DataError, match="tensor head_w: missing"):
-        load_params(str(p))
-
-    p = tmp_path / "c.json"
-    p.write_text("{not json")
-    with pytest.raises(DataError, match="corrupt"):
-        load_params(str(p))
-
-    p = tmp_path / "u.json"
-    p.write_bytes(b'{"version": 1, "config": "\xff\xfe"}')
-    with pytest.raises(DataError, match="corrupt"):
-        load_params(str(p))
-
-    def mutated(tag, keys, value):
-        bad = json.loads(json.dumps(doc))
-        *parents, last = keys
-        node = bad
-        for k in parents:
-            node = node[k]
-        if value is DELETE:
-            del node[last]
-        else:
-            node[last] = value
-        p = tmp_path / f"{tag}.json"
-        p.write_text(json.dumps(bad))
-        return str(p)
-
-    DELETE = object()
-    flat = "data must be a flat list of numbers"
+    members = _npz_members(init_params(TINY, seed=12), tmp_path / "w.npz")
+    config = json.loads(str(members["config"]))
+    fc2_w = members["fc2_w"]
     cases = [
-        ("list_entry", ("tensors", "fc1_w"), [1.0, 2.0],
-         "tensor fc1_w: expected an object"),
-        ("no_data", ("tensors", "conv1_b", "data"), DELETE,
-         "tensor conv1_b: missing data"),
-        ("text_data", ("tensors", "fc2_b", "data"), ["x"] * 4,
-         f"tensor fc2_b: {flat}"),
-        ("null_shape", ("tensors", "head_b", "shape"), None,
-         "tensor head_b: shape mismatch"),
-        ("float_filters", ("config", "conv1_filters"), 3.0,
+        ("version", {"version": np.int64(99)}, "version mismatch: expected 1, got 99"),
+        ("float_version", {"version": np.float64(1.0)}, "version: expected dtype <i8"),
+        ("no_version", {"version": None}, "version: missing from weight file"),
+        ("no_config", {"config": None}, "config: missing from weight file"),
+        ("shape", {"fc2_w": np.zeros((1, 1))}, "tensor fc2_w: shape mismatch"),
+        ("missing", {"head_w": None}, "tensor head_w: missing from weight file"),
+        ("int", {"fc2_w": fc2_w.astype(np.int64)}, "tensor fc2_w: expected dtype <f8"),
+        ("str", {"fc2_w": fc2_w.astype(str)}, "tensor fc2_w: expected dtype <f8"),
+        ("complex", {"fc2_w": fc2_w.astype(complex)}, "tensor fc2_w: expected dtype"),
+        ("float32", {"fc2_w": fc2_w.astype(np.float32)}, "tensor fc2_w: expected dtype"),
+        ("fortran", {"fc2_w": np.asfortranarray(fc2_w)},
+         "tensor fc2_w: expected C order, got Fortran order"),
+        ("float_field", {"config": json.dumps({**config, "conv1_filters": 3.0})},
          "config field conv1_filters: expected an integer"),
-        ("nested_data", ("tensors", "head_b", "data"), [[0.0] * 3],
-         f"tensor head_b: {flat}"),
-        ("ragged_data", ("tensors", "head_b", "data"), [[0.0], 0.0, 0.0],
-         f"tensor head_b: {flat}"),
-        ("list_tensors", ("tensors",), [], "tensors: expected an object"),
-        ("list_config", ("config",), [12], "bad config in weight file"),
-        ("unknown_field", ("config", "depth"), 3, "bad config in weight file"),
+        ("bool_field", {"config": json.dumps({**config, "fc1_units": True})},
+         "config field fc1_units: expected an integer"),
+        ("unknown_field", {"config": json.dumps({**config, "depth": 3})},
+         "bad config in weight file"),
+        ("bad_value", {"config": json.dumps({**config, "grid": 7})},
+         "bad config in weight file: grid must be even"),
+        ("list_config", {"config": "[12]"}, "bad config in weight file"),
+        ("text_config", {"config": "{not json"}, "corrupt weight file"),
+        ("deep_config", {"config": "[" * 100_000}, "corrupt weight file .*recursion"),
+        ("array_config", {"config": np.array(["{}", "{}"])}, "config: shape mismatch"),
+        ("nan", {"head_b": np.full(3, np.nan)}, "tensor head_b: non-finite values"),
     ]
-    for tag, keys, value, message in cases:
+    for tag, changes, message in cases:
+        doc = {k: v for k, v in {**members, **changes}.items() if v is not None}
+        p = tmp_path / f"{tag}.npz"
+        with open(p, "wb") as f:
+            np.savez(f, **doc)
         with pytest.raises(DataError, match=message):
-            load_params(mutated(tag, keys, value))
+            load_params(str(p))
+
+    raw = {name: _npy(arr) for name, arr in members.items()}
+    with pytest.raises(DataError, match="compressed or encrypted member"):
+        load_params(_write_zip(tmp_path / "deflated.npz", raw, zipfile.ZIP_DEFLATED))
+
+    old = tmp_path / "old.json"  # a weight file in the earlier JSON format
+    old.write_text(json.dumps({"version": 1, "config": config, "tensors": {}}))
+    with pytest.raises(DataError, match="corrupt weight file .*: not a .npz archive"):
+        load_params(str(old))
+    with pytest.raises(FileNotFoundError):
+        load_params(str(tmp_path / "absent.npz"))
+
+
+def test_weight_file_fuzz_raises_only_data_error(tmp_path):
+    """Truncated, byte-flipped and cut archives load unchanged or raise DataError."""
+    params = init_params(TINY, seed=13)
+    path = tmp_path / "w.npz"
+    save_params(params, str(path))
+    good = path.read_bytes()
+    rng = np.random.default_rng(14)
+    loaded = 0
+    for trial in range(600):
+        data = bytearray(good)
+        at = int(rng.integers(0, len(data)))
+        if trial % 3 == 0:
+            del data[at:]
+        elif trial % 3 == 1:
+            for _ in range(int(rng.integers(1, 4))):
+                data[int(rng.integers(0, len(data)))] ^= int(rng.integers(1, 256))
+        else:
+            del data[at : at + int(rng.integers(1, 64))]
+        path.write_bytes(data)
+        try:
+            again = load_params(str(path))
+        except DataError:
+            continue
+        loaded += 1  # the flips hit bytes nothing checks, such as timestamps
+        assert again.config == TINY
+        for name, t in params.tensors.items():
+            assert np.array_equal(again.tensors[name], t)
+    assert loaded < 60
+
+    # 200 bytes whose header claims 2**37 floats (1 TiB), which np.load would
+    # try to allocate.
+    with np.load(io.BytesIO(good)) as npz:
+        raw = {name: _npy(npz[name]) for name in npz.files}
+    huge = {"descr": "<f8", "fortran_order": False, "shape": (2**37,)}
+    raw["fc2_b"] = _npy(header=huge, data=bytes(72))
+    with pytest.raises(DataError, match=r"tensor fc2_b: shape mismatch.*\(137438953472,\)"):
+        load_params(_write_zip(path, raw))
+
+
+def test_weight_file_memory_bounded_by_archive(tmp_path):
+    """A config implying 19 GB of conv1 weights and a zip directory claiming a
+    4 GB member fail without allocating either."""
+    big = RelNetConfig(conv1_filters=2**28)
+    header = {
+        "descr": "<f8",
+        "fortran_order": False,
+        "shape": big.tensor_shapes()["conv1_w"],
+    }
+    members = {
+        "version": _npy(np.int64(1)),
+        "config": _npy(np.array(json.dumps(dataclasses.asdict(big)))),
+        "conv1_w": _npy(header=header, data=bytes(200)),
+    }
+    path = tmp_path / "w.npz"
+    data = bytearray(Path(_write_zip(path, members)).read_bytes())
+    entry = data.rindex(b"PK\x01\x02")  # central directory entry of conv1_w
+    struct.pack_into("<II", data, entry + 20, 0xFFFFFFF0, 0xFFFFFFF0)
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="corrupt weight file"):
+            load_params(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
 
 
 def test_epoch_stats_is_plain_record():
