@@ -321,6 +321,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
+    except OSError as e:  # e.g. a directory or unreadable file given as input
+        print(f"data error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

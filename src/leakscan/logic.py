@@ -18,10 +18,18 @@ The fuzzy connectives are: not x = 1 - x, or = max, and = the clamped
 affine form  clamp(sum_i b_i x_i + c, 0, 1)  with one weight per premise
 plus a bias.  A rule meets a scene existentially: every assignment of scene
 objects to the rule's variables is scored and the best one wins.
-Assignments that send a positive unary premise to an object of the wrong
-class are discarded (such a premise is crisply false), so a rule whose
-subject class is absent from the scene scores exactly 0 rather than its
-bare bias.
+
+Grounding is a gather.  Each variable draws from a pool, the objects that
+pass its positive unary premises (such a premise on the wrong class is
+crisply false), so a rule whose subject class is absent scores exactly 0
+rather than its bare bias.  The bindings are the pools' product in
+row-major order (variables in first-occurrence order, objects in scene
+order), and ties between equally scored bindings go to the first.  A
+unary atom gathers from a per-pool confidence vector, a binary atom from a
+pool x pool table with one pair_probs call per ordered pair.  A binary
+atom may bind one object to both arguments; the pipeline's relation lookup
+gives such a self-pair a crisp "other" (0, 0, 1), as an object is neither
+on nor near itself.
 
 Weight learning is joint gradient descent on binary cross-entropy between
 the ruleset score and the scene leak label, with subgradients routed
@@ -30,7 +38,6 @@ through the max picks and zeroed outside the clamp range.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .scene import ClassLabel, DetectedObject, Scene
+from .scene import ClassLabel, Scene
 
 # Body predicates and their arities; unary ones assert a detection class.
 PREDICATES: dict[str, int] = {
@@ -328,70 +335,58 @@ def print_rules(rules: list[tuple[RuleAST, RuleParams | None]]) -> str:
 # Grounding and inference
 # ---------------------------------------------------------------------------
 
-def atom_probability(
-    atom: Atom,
-    ctx: GroundingContext,
-    scene: Scene,
-    pair_probs,
-) -> float:
-    """Fuzzy truth of one grounded atom.
-
-    Unary atoms pass through the bound object's confidence when its class
-    matches the predicate and are 0 otherwise; On/Around read the above /
-    nearby probability of the ordered pair from `pair_probs(subject,
-    reference)`.  Negation wraps the result in fuzzy_not.
-    """
-    try:
-        objs = [scene.object_by_id(ctx[v]) for v in atom.args]
-    except KeyError as e:
-        raise DataError(f"unbound variable {e.args[0]} in atom {atom}") from None
-    if atom.predicate in _PRED_CLASS:
-        obj = objs[0]
-        p = obj.confidence if obj.label is _PRED_CLASS[atom.predicate] else 0.0
-    else:
-        probs = pair_probs(objs[0], objs[1])
-        p = _unit(probs[_PRED_RELATION[atom.predicate]])
-    return fuzzy_not(p) if atom.negated else p
-
-
-def _admissible(atom: Atom, obj: DetectedObject) -> bool:
-    # A positive unary premise on the wrong class is crisply false; bindings
-    # containing one can never describe the situation the rule talks about.
-    if atom.negated or atom.predicate not in _PRED_CLASS:
-        return True
-    return obj.label is _PRED_CLASS[atom.predicate]
-
-
 def ground_rule(
     rule: RuleAST, scene: Scene, pair_probs
-) -> tuple[np.ndarray, list[GroundingContext]]:
-    """All admissible bindings and their per-atom truth matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """All admissible bindings, in the module docstring's order, and their truth.
 
-    Returns (X, bindings) where X[i, j] is the probability of body atom j
-    under bindings[i].  Variables range over every object in the scene;
-    bindings failing the positive-unary class check are dropped.
+    Returns (X, ids): ids[i] holds the object ids binding i gives to
+    rule.variables(), and X[i, j] is the truth of body atom j under it.
     """
     variables = rule.variables()
-    objects = scene.objects
-    rows: list[list[float]] = []
-    bindings: list[GroundingContext] = []
-    if not objects:
-        return np.zeros((0, len(rule.body))), bindings
-    # Per-variable candidate filter from positive unary atoms.
-    candidates: list[list[DetectedObject]] = []
-    for v in variables:
-        pool = list(objects)
-        for atom in rule.body:
-            if len(atom.args) == 1 and atom.args[0] == v:
-                pool = [o for o in pool if _admissible(atom, o)]
-        candidates.append(pool)
-    if any(not pool for pool in candidates):
-        return np.zeros((0, len(rule.body))), bindings
-    for combo in itertools.product(*candidates):
-        ctx = {v: obj.id for v, obj in zip(variables, combo)}
-        rows.append([atom_probability(a, ctx, scene, pair_probs) for a in rule.body])
-        bindings.append(ctx)
-    return np.array(rows, dtype=np.float64), bindings
+    pools = {
+        v: [
+            o for o in scene.objects
+            if all(o.label is _PRED_CLASS[a.predicate]
+                   for a in rule.body if a.args == (v,) and not a.negated)
+        ]
+        for v in variables
+    }
+    sizes = [len(pools[v]) for v in variables]
+    if 0 in sizes:
+        return np.zeros((0, len(rule.body))), np.zeros((0, len(variables)), dtype=np.int64)
+    idx = dict(zip(variables, np.indices(sizes).reshape(len(variables), -1)))
+    ids = np.stack(
+        [np.array([o.id for o in pools[v]], dtype=np.int64)[idx[v]] for v in variables],
+        axis=1,
+    )
+    tables: dict[tuple[str, ...], np.ndarray] = {}
+    cols = []
+    for atom in rule.body:
+        if len(atom.args) == 1:
+            (v,) = atom.args
+            cls = _PRED_CLASS[atom.predicate]
+            conf = np.array([o.confidence if o.label is cls else 0.0 for o in pools[v]])
+            col = conf[idx[v]]
+        else:
+            s, r = atom.args
+            if atom.args not in tables:
+                tables[atom.args] = np.array(
+                    [[pair_probs(a, b) for b in pools[r]] for a in pools[s]],
+                    dtype=np.float64,
+                )
+            rel = _PRED_RELATION[atom.predicate]
+            col = np.clip(tables[atom.args][idx[s], idx[r], rel], 0.0, 1.0)
+        cols.append(1.0 - col if atom.negated else col)
+    return np.stack(cols, axis=1), ids
+
+
+def _best_binding(x: np.ndarray, weights: np.ndarray, bias: float) -> tuple[int, float, float]:
+    """First binding with the highest clamped affine score: (row, score, z)."""
+    z = x @ weights + bias
+    y = np.clip(z, 0.0, 1.0)
+    i = int(np.argmax(y))
+    return i, float(y[i]), float(z[i])
 
 
 def evaluate_rule(
@@ -405,7 +400,7 @@ def evaluate_rule(
     No admissible binding (the subject class is absent, or the scene is
     empty) scores 0 with no context.
     """
-    x, bindings = ground_rule(rule, scene, pair_probs)
+    x, ids = ground_rule(rule, scene, pair_probs)
     if x.shape[0] == 0:
         return 0.0, None
     if x.shape[1] != len(params.weights):
@@ -413,10 +408,8 @@ def evaluate_rule(
             f"rule has {x.shape[1]} premises but params carry "
             f"{len(params.weights)} weights"
         )
-    z = x @ np.asarray(params.weights) + params.bias
-    y = np.clip(z, 0.0, 1.0)
-    i = int(np.argmax(y))
-    return float(y[i]), bindings[i]
+    i, score, _z = _best_binding(x, np.asarray(params.weights), params.bias)
+    return score, {v: int(oid) for v, oid in zip(rule.variables(), ids[i])}
 
 
 def evaluate_rules(
@@ -428,18 +421,6 @@ def evaluate_rules(
     if len(rules) != len(params):
         raise DataError("one RuleParams per rule required")
     return [evaluate_rule(r, p, scene, pair_probs) for r, p in zip(rules, params)]
-
-
-def evaluate_ruleset(
-    rules: list[RuleAST],
-    params: list[RuleParams],
-    scene: Scene,
-    pair_probs,
-) -> float:
-    """Scene leak probability: fuzzy_or over the individual rule scores."""
-    if not rules:
-        raise DataError("ruleset must contain at least one rule")
-    return max(s for s, _ in evaluate_rules(rules, params, scene, pair_probs))
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +458,9 @@ def _ground_corpus(rules, scenes, pair_probs_factory):
     return out
 
 
-def _loss_and_grad_grounded(params_list, groundings, labels):
+def _loss_and_grad_grounded(vecs, groundings, labels):
+    """Loss, per-rule gradients and accuracy for flat [b1..bn, c] vectors."""
     n_scenes = len(labels)
-    vecs = [p.vector() for p in params_list]
     grads = [np.zeros_like(v) for v in vecs]
     loss = 0.0
     correct = 0
@@ -487,17 +468,14 @@ def _loss_and_grad_grounded(params_list, groundings, labels):
         scores = np.zeros(len(vecs))
         winners: list[int | None] = []
         zs: list[float] = []
-        for r, (x, _bindings) in enumerate(groundings[scene_i]):
+        for r, (x, _ids) in enumerate(groundings[scene_i]):
             if x.shape[0] == 0:
                 winners.append(None)
                 zs.append(0.0)
                 continue
-            z = x @ vecs[r][:-1] + vecs[r][-1]
-            y = np.clip(z, 0.0, 1.0)
-            i = int(np.argmax(y))
-            scores[r] = y[i]
+            i, scores[r], z = _best_binding(x, vecs[r][:-1], vecs[r][-1])
             winners.append(i)
-            zs.append(float(z[i]))
+            zs.append(z)
         best = int(np.argmax(scores))
         p = float(scores[best])
         p_hat = min(max(p, _P_EPS), 1.0 - _P_EPS)
@@ -528,7 +506,8 @@ def ruleset_loss_and_grad(
     """
     labels = _require_labels(scenes)
     groundings = _ground_corpus(rules, scenes, pair_probs_factory)
-    loss, grads, _acc = _loss_and_grad_grounded(params_list, groundings, labels)
+    vecs = [p.vector() for p in params_list]
+    loss, grads, _acc = _loss_and_grad_grounded(vecs, groundings, labels)
     return loss, grads
 
 
@@ -580,8 +559,7 @@ def train_rule_params(
     groundings = _ground_corpus(rules, scenes, pair_probs_factory)
     history: list[RuleTrainStats] = []
     for step in range(cfg.steps):
-        current = [RuleParams.from_vector(v) for v in vecs]
-        loss, grads, acc = _loss_and_grad_grounded(current, groundings, labels)
+        loss, grads, acc = _loss_and_grad_grounded(vecs, groundings, labels)
         if not math.isfinite(loss):
             raise NumericError(f"non-finite rule-training loss at step {step}")
         for v, g in zip(vecs, grads):

@@ -280,11 +280,17 @@ def load_pipeline(cfg: PipelineConfig) -> Pipeline:
 # Inference
 # ---------------------------------------------------------------------------
 
+_SELF_PAIR_PROBS = np.array([0.0, 0.0, 1.0])  # (above, nearby, other)
+_SELF_PAIR_PROBS.setflags(write=False)
+
+
 def scene_pair_probs(params: rn.RelNetParams, scene: Scene):
     """Callable (subject, reference) -> (above, nearby, other) probabilities.
 
-    All ordered pairs in the scene are classified once, in a single batch,
-    and served from a cache keyed by object ids.
+    All ordered pairs of distinct objects are classified once, in a single
+    batch, and served from a cache keyed by object ids.  A self-pair is not
+    classified: an object is neither on nor near itself, so it gets a
+    constant, read-only crisp "other".
     """
     pairs = [
         (s, r) for s in scene.objects for r in scene.objects if s.id != r.id
@@ -302,6 +308,8 @@ def scene_pair_probs(params: rn.RelNetParams, scene: Scene):
             cache[(s.id, r.id)] = p
 
     def lookup(subject: DetectedObject, reference: DetectedObject) -> np.ndarray:
+        if subject.id == reference.id:
+            return _SELF_PAIR_PROBS
         return cache[(subject.id, reference.id)]
 
     return lookup

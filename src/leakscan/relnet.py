@@ -99,6 +99,10 @@ class RelNetConfig:
         for name in ("conv1_filters", "conv2_filters", "fc1_units", "fc2_units"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name, want in (("pos_dim", POSITION_DIM), ("cls_dim", CLASS_DIM),
+                           ("n_classes", len(RELATION_ORDER))):
+            if getattr(self, name) != want:  # fixed by the sample encoding and labels
+                raise ConfigError(f"{name} must be {want}, got {getattr(self, name)}")
 
     @property
     def pool1_size(self) -> int:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 from leakscan.cli import main
+from leakscan.logic import parse_rules
 from leakscan.pipeline import DEFAULT_RULES_TEXT
 from leakscan.pnm import read_pnm, write_pnm
 from leakscan.relnet import RelNetConfig, load_params
+from leakscan.scene import BBox, ClassLabel, DetectedObject, PolygonMask, Scene, serialize_scene
 
 TRAIN_REL_CONFIG = {
     "net": {"conv1_filters": 4, "conv2_filters": 4, "fc1_units": 16, "fc2_units": 8},
@@ -279,6 +282,98 @@ def test_non_utf8_input_exits_2(workspace, tmp_path, capsys, reader):
     assert main(NON_UTF8_ARGV[reader](workspace, str(bad), tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "bad.json" in err and "0xff" in err
+
+
+# argv per input, given the workspace and a directory passed where a file belongs.
+DIRECTORY_ARGV = {
+    "scene": lambda ws, d: [
+        "infer", "--config", str(ws / "pipeline.json"), "--scene", str(d)],
+    "pipeline-config": lambda ws, d: [
+        "infer", "--config", str(d), "--scene", str(ws / "scenes" / "scene_00000.json")],
+    "weights": lambda ws, d: [
+        "infer", "--config", _pipeline_config(d, ws, relnet_weights=str(d)),
+        "--scene", str(ws / "scenes" / "scene_00000.json")],
+    "pairs-jsonl": lambda ws, d: [
+        "train-rel", "--pairs", str(d), "--out", str(d / "w.npz")],
+    "enhance-input": lambda ws, d: [
+        "enhance", str(d), "--out", str(d / "o.pgm")],
+}
+
+
+@pytest.mark.parametrize("reader", list(DIRECTORY_ARGV))
+def test_directory_as_input_exits_2(workspace, tmp_path, capsys, reader):
+    assert main(DIRECTORY_ARGV[reader](workspace, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(tmp_path) in err
+
+
+SELF_PAIR_RULES = """\
+OilArea(A) <- SuspectedArea(A) & SuspectedArea(B) & On(A,B) : [0.25, 0.25, 0.5, 0.0].
+OilArea(A) <- SuspectedArea(A) & !Ground(B) & Around(A,B) : [0.25, 0.25, 0.5, 0.0].
+Self(A) <- !On(A,A) & Around(A,A) : [0.5, 0.5, 0.125].
+"""
+
+_CLASS_OF = {
+    "SuspectedArea": ClassLabel.SUSPECTED_AREA,
+    "Ground": ClassLabel.GROUND,
+    "OilStorageDevice": ClassLabel.OIL_STORAGE_DEVICE,
+}
+
+
+def _brute_rule_score(rule, params, scene, probs):
+    """Best clamped score over every assignment; a self-pair is crisp other."""
+    best = 0.0
+    for combo in itertools.product(scene.objects, repeat=len(rule.variables())):
+        env = dict(zip(rule.variables(), combo))
+        z = params.bias
+        for w, a in zip(params.weights, rule.body):
+            objs = [env[v] for v in a.args]
+            if a.predicate in _CLASS_OF:
+                if objs[0].label is not _CLASS_OF[a.predicate] and not a.negated:
+                    break
+                x = objs[0].confidence if objs[0].label is _CLASS_OF[a.predicate] else 0.0
+            else:
+                s, r = (o.id for o in objs)
+                rel = probs[(s, r)] if s != r else {"above": 0.0, "nearby": 0.0}
+                x = rel["above" if a.predicate == "On" else "nearby"]
+            z += w * (1.0 - x if a.negated else x)
+        else:
+            best = max(best, min(max(z, 0.0), 1.0))
+    return best
+
+
+def test_infer_scores_self_pair_rules(workspace, tmp_path, capsys):
+    scene = Scene(
+        image_width=100,
+        image_height=100,
+        objects=tuple(
+            DetectedObject(
+                id=i, label=label, confidence=conf, bbox=BBox(x1, y1, x2, y2),
+                polygon=PolygonMask(((x1, y1), (x2, y1), (x2, y2), (x1, y2))),
+            )
+            for i, label, conf, (x1, y1, x2, y2) in (
+                (1, ClassLabel.SUSPECTED_AREA, 0.9, (20, 40, 50, 62)),
+                (2, ClassLabel.SUSPECTED_AREA, 0.7, (55, 45, 70, 60)),
+                (3, ClassLabel.GROUND, 0.8, (0, 60, 99, 99)),
+                (4, ClassLabel.OIL_STORAGE_DEVICE, 0.6, (70, 30, 90, 60)),
+            )
+        ),
+    )
+    (tmp_path / "scene.json").write_text(serialize_scene(scene))
+    (tmp_path / "rules.txt").write_text(SELF_PAIR_RULES)
+    (tmp_path / "pipeline.json").write_text(
+        json.dumps({"rules": "rules.txt", "relnet_weights": str(workspace / "relnet.json")})
+    )
+    assert main(
+        ["infer", "--config", str(tmp_path / "pipeline.json"),
+         "--scene", str(tmp_path / "scene.json")]
+    ) == 0
+    report = json.loads(capsys.readouterr().out)
+    probs = {(p["subject"], p["reference"]): p for p in report["pair_relations"]}
+    assert len(probs) == 12  # self-pairs are not classified or reported
+    want = [_brute_rule_score(r, p, scene, probs) for r, p in parse_rules(SELF_PAIR_RULES)]
+    assert report["rule_scores"] == pytest.approx(want, rel=0, abs=1e-12)
+    assert report["rule_scores"][2] == 0.625  # !On(A,A) = 1, Around(A,A) = 0
 
 
 def test_numeric_failure_exits_3(workspace, tmp_path, capsys):

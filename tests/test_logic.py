@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,8 @@ from leakscan.logic import (
     RuleAST,
     RuleParams,
     RuleTrainConfig,
-    atom_probability,
     evaluate_rule,
     evaluate_rules,
-    evaluate_ruleset,
     fuzzy_and,
     fuzzy_not,
     fuzzy_or,
@@ -226,24 +225,22 @@ def test_rule_ast_validation():
 # Atom probabilities and grounding
 # ---------------------------------------------------------------------------
 
-def test_atom_probability_cases():
+def test_ground_rule_atom_columns():
     blob = box_object(1, ClassLabel.SUSPECTED_AREA, 10, 10, 20, 20, confidence=0.8)
     ground = box_object(2, ClassLabel.GROUND, 0, 80, 100, 100, confidence=0.9)
     scene = make_scene([blob, ground])
-    ctx = {"A": 1, "B": 2}
     probs = lambda s, r: np.array([0.7, 0.2, 0.1])
-    assert atom_probability(Atom("SuspectedArea", ("A",)), ctx, scene, probs) == 0.8
-    assert atom_probability(Atom("SuspectedArea", ("B",)), ctx, scene, probs) == 0.0
-    assert atom_probability(Atom("Ground", ("B",), negated=True), ctx, scene, probs) == (
-        pytest.approx(0.1)
+    (ast, _), = parse_rules(
+        "Leak(A) <- SuspectedArea(A) & Ground(B) & !Ground(B) & !Ground(A) "
+        "& On(A,B) & Around(A,B) & !On(A,B) & !Around(A,B)."
     )
-    assert atom_probability(Atom("On", ("A", "B")), ctx, scene, probs) == 0.7
-    assert atom_probability(Atom("Around", ("A", "B")), ctx, scene, probs) == 0.2
-    assert atom_probability(Atom("On", ("A", "B"), negated=True), ctx, scene, probs) == (
-        pytest.approx(0.3)
-    )
-    with pytest.raises(DataError, match="unbound variable C"):
-        atom_probability(Atom("On", ("A", "C")), ctx, scene, probs)
+    x, ids = ground_rule(ast, scene, probs)
+    assert ids.tolist() == [[1, 2]]
+    assert x[0, 0] == 0.8 and x[0, 1] == 0.9  # confidences pass through
+    assert x[0, 2] == pytest.approx(0.1)  # negated class premise
+    assert x[0, 3] == 1.0  # a wrong class under negation is crisply true
+    assert x[0, 4] == 0.7 and x[0, 5] == 0.2  # On reads above, Around nearby
+    assert x[0, 6] == pytest.approx(0.3) and x[0, 7] == pytest.approx(0.8)
 
 
 def test_ground_rule_pools_and_shape():
@@ -255,14 +252,18 @@ def test_ground_rule_pools_and_shape():
     ]
     scene = make_scene(objs)
     (ast, _), = parse_rules("OilArea(A) <- SuspectedArea(A) & Ground(B) & On(A,B).")
-    x, bindings = ground_rule(ast, scene, hash_probs)
+    x, ids = ground_rule(ast, scene, hash_probs)
     assert x.shape == (2, 3)  # two blob choices for A, one ground for B
-    assert [b["A"] for b in bindings] == [1, 2]
-    assert all(b["B"] == 3 for b in bindings)
+    assert ids.tolist() == [[1, 3], [2, 3]]
+    assert ids.dtype == np.int64
     # Negated unary atoms do not restrict the pool.
     (ast2, _), = parse_rules("OilArea(A) <- !Ground(A) & On(A,B).")
-    x2, bindings2 = ground_rule(ast2, scene, hash_probs)
-    assert x2.shape == (16, 2)
+    x2, ids2 = ground_rule(ast2, scene, hash_probs)
+    assert x2.shape == (16, 2) and ids2.shape == (16, 2)
+    # Impossible class pairs leave an empty pool and no bindings.
+    (ast3, _), = parse_rules("OilArea(A) <- SuspectedArea(A) & Ground(A) & On(A,B).")
+    x3, ids3 = ground_rule(ast3, scene, hash_probs)
+    assert x3.shape == (0, 3) and ids3.shape == (0, 2)
 
 
 def test_evaluate_rule_absent_class_scores_zero():
@@ -339,6 +340,80 @@ def random_scene(rng, max_objects=4):
     return make_scene(objs)
 
 
+def _product_grounding(rule, scene, pair_probs):
+    """Reference grounding: itertools.product over the class pools, one binding at a time."""
+    names = rule.variables()
+    pools = [
+        [
+            o for o in scene.objects
+            if all(o.label is _CLASS_OF[a.predicate]
+                   for a in rule.body if a.args == (v,) and not a.negated)
+        ]
+        for v in names
+    ]
+    rows, ids = [], []
+    for combo in itertools.product(*pools):
+        lookup = dict(zip(names, combo))
+        rows.append([_slow_atom(a, lookup, pair_probs) for a in rule.body])
+        ids.append([o.id for o in combo])
+    return (
+        np.array(rows, dtype=np.float64).reshape(len(rows), len(rule.body)),
+        np.array(ids, dtype=np.int64).reshape(len(ids), len(names)),
+    )
+
+
+def tie_probs(subject, reference):
+    """Relation probabilities from {0, 0.5, 1}, so many bindings tie."""
+    rng = np.random.default_rng((subject.id, reference.id, 7))
+    return rng.choice([0.0, 0.5, 1.0], size=3)
+
+
+GROUNDING_RULES = [
+    "OilArea(A) <- SuspectedArea(A) & Ground(B) & On(A,B).",
+    "OilArea(A) <- SuspectedArea(A) & Ground(B) & On(A,B) & OilStorageDevice(C) & Around(A,C).",
+    "Near(A) <- Around(A,B) & !Ground(A).",
+    "Self(A) <- On(A,A) & !Around(A,A).",
+    "Dry(A) <- SuspectedArea(A) & !On(A,B) & Ground(B) & !Around(B,A).",
+    "Pair(A) <- SuspectedArea(A) & SuspectedArea(B) & On(A,B) & On(B,A).",
+    "Never(A) <- SuspectedArea(A) & Ground(A) & On(A,B).",
+]
+
+
+def test_ground_rule_matches_product_reference_and_first_max():
+    rules = [ast for ast, _ in parse_rules("\n".join(GROUNDING_RULES))]
+    rng = np.random.default_rng(12)
+    tied = 0
+    for trial in range(60):
+        scene = random_scene(rng, max_objects=5)
+        scene = make_scene(
+            [replace(o, confidence=float(rng.choice([0.5, 1.0]))) for o in scene.objects]
+        )
+        for rule in rules:
+            x, ids = ground_rule(rule, scene, tie_probs)
+            x_ref, ids_ref = _product_grounding(rule, scene, tie_probs)
+            assert np.array_equal(x, x_ref) and np.array_equal(ids, ids_ref)
+            assert x.dtype == np.float64 and x.flags.c_contiguous
+            # Dyadic weights keep every score exact, so ties are real ties.
+            params = RuleParams(
+                weights=tuple(rng.choice([-0.25, 0.25, 0.5], len(rule.body))),
+                bias=float(rng.choice([0.0, 0.25])),
+            )
+            got, ctx = evaluate_rule(rule, params, scene, tie_probs)
+            if len(ids_ref) == 0:
+                assert (got, ctx) == (0.0, None)
+                continue
+            scores = [
+                min(max(params.bias + sum(w * v for w, v in zip(params.weights, row)), 0.0), 1.0)
+                for row in x_ref.tolist()
+            ]
+            first = scores.index(max(scores))
+            tied += scores.count(max(scores)) > 1
+            assert got == scores[first]
+            assert ctx == dict(zip(rule.variables(), ids_ref[first].tolist()))
+            assert all(type(i) is int for i in ctx.values())  # JSON-serializable
+    assert tied > 50
+
+
 def test_evaluate_rule_matches_exhaustive_brute_force():
     texts = [
         "OilArea(A) <- SuspectedArea(A) & Ground(B) & On(A,B).",
@@ -382,14 +457,10 @@ def test_ruleset_is_max_and_monotone():
     for _ in range(20):
         scene = random_scene(rng)
         per_rule = evaluate_rules(rules, params, scene, hash_probs)
-        total = evaluate_ruleset(rules, params, scene, hash_probs)
-        assert total == max(s for s, _ in per_rule)
-        # Dropping a rule can only lower (or keep) the score.
-        assert total >= evaluate_ruleset(rules[:2], params[:2], scene, hash_probs)
-        # Order does not matter.
-        assert total == evaluate_ruleset(rules[::-1], params[::-1], scene, hash_probs)
-    with pytest.raises(DataError, match="at least one rule"):
-        evaluate_ruleset([], [], random_scene(rng), hash_probs)
+        # Each rule is scored on its own: dropping or reordering rules leaves
+        # the other scores, and so their max, unchanged.
+        assert evaluate_rules(rules[:2], params[:2], scene, hash_probs) == per_rule[:2]
+        assert evaluate_rules(rules[::-1], params[::-1], scene, hash_probs) == per_rule[::-1]
     with pytest.raises(DataError, match="one RuleParams per rule"):
         evaluate_rules(rules, params[:1], random_scene(rng), hash_probs)
 

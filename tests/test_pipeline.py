@@ -394,7 +394,9 @@ def test_scene_pair_probs_matches_direct_prediction():
     lookup = scene_pair_probs(params, scene)
     for s in scene.objects:
         for r in scene.objects:
-            if s.id == r.id:
+            if s.id == r.id:  # an object is neither on nor near itself
+                assert lookup(s, r).tolist() == [0.0, 0.0, 1.0]
+                assert not lookup(s, r).flags.writeable
                 continue
             sample = rn.make_pair_sample(
                 s, r, scene.image_width, scene.image_height, grid=TINY.grid

@@ -509,6 +509,12 @@ def test_weight_file_errors(tmp_path):
          "bad config in weight file"),
         ("bad_value", {"config": json.dumps({**config, "grid": 7})},
          "bad config in weight file: grid must be even"),
+        ("pos_dim", {"config": json.dumps({**config, "pos_dim": 7})},
+         "bad config in weight file: pos_dim must be 8, got 7"),
+        ("cls_dim", {"config": json.dumps({**config, "cls_dim": 9})},
+         "bad config in weight file: cls_dim must be 8, got 9"),
+        ("n_classes", {"config": json.dumps({**config, "n_classes": 2})},
+         "bad config in weight file: n_classes must be 3, got 2"),
         ("list_config", {"config": "[12]"}, "bad config in weight file"),
         ("text_config", {"config": "{not json"}, "corrupt weight file"),
         ("deep_config", {"config": "[" * 100_000}, "corrupt weight file .*recursion"),
