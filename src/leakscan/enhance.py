@@ -8,12 +8,20 @@ difference (RBD), relative contrast difference (RCD) and average structural
 difference (ASD) between the input and the candidate.  Color images are
 enhanced on the Y channel of YCrCb space only.
 
+The split search never builds a candidate image.  Once per image it takes
+the histogram, the input's mean and std and an edge-padded copy of the pixel
+levels; each split then costs one 256-entry LUT and two gathers at the
+pixels.  Its metrics equal those of `metrics` on the materialised candidate
+bit for bit, so the brute force over `apply_lut` and `metrics` stays the
+definition (see `optimize_split`).
+
 All operations are pure functions over immutable images; the split search is
 deterministic with ties broken toward the smaller t.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from typing import ClassVar
 
@@ -134,17 +142,8 @@ def classic_he(img: GrayImage) -> np.ndarray:
     return _round_half_up(255.0 * cdf)
 
 
-def bi_he(img: GrayImage, t: int) -> np.ndarray:
-    """Split-histogram equalization LUT with split intensity t.
-
-    Pixels in [0, t] are equalized onto [0, t] and pixels in [t+1, 255] onto
-    [t+1, 255], so no value crosses the split.  A sub-range holding no pixels
-    keeps the identity mapping on its range.  t = 255 leaves the upper range
-    empty and reduces exactly to classic_he.
-    """
-    if not (0 <= t <= 255):
-        raise DataError(f"split level must be in 0..255, got {t}")
-    hist = np.bincount(img.pixels.ravel(), minlength=256)
+def _split_lut(hist: np.ndarray, t: int) -> np.ndarray:
+    """Split-histogram equalization LUT of a 256-bin histogram (see bi_he)."""
     lut = np.arange(256, dtype=np.int64)
     lo = hist[: t + 1]
     lo_total = lo.sum()
@@ -158,6 +157,19 @@ def bi_he(img: GrayImage, t: int) -> np.ndarray:
             cdf_hi = np.cumsum(hi) / hi_total
             lut[t + 1 :] = (t + 1) + _round_half_up((254 - t) * cdf_hi)
     return lut
+
+
+def bi_he(img: GrayImage, t: int) -> np.ndarray:
+    """Split-histogram equalization LUT with split intensity t.
+
+    Pixels in [0, t] are equalized onto [0, t] and pixels in [t+1, 255] onto
+    [t+1, 255], so no value crosses the split.  A sub-range holding no pixels
+    keeps the identity mapping on its range.  t = 255 leaves the upper range
+    empty and reduces exactly to classic_he.
+    """
+    if not (0 <= t <= 255):
+        raise DataError(f"split level must be in 0..255, got {t}")
+    return _split_lut(np.bincount(img.pixels.ravel(), minlength=256), t)
 
 
 def apply_lut(img: GrayImage, lut: np.ndarray) -> GrayImage:
@@ -203,6 +215,39 @@ def scores(
     return bps, ocs, dps
 
 
+def _split_metrics(img: GrayImage):
+    """Yield (t, rbd, rcd, asd) for t in 0..254 without building candidates.
+
+    Each triple equals metrics(img, apply_lut(img, bi_he(img, t))) bit for
+    bit.  The candidate's pixel sum is the exact integer lut @ hist, so its
+    mean is the same correctly rounded quotient np.mean takes.  Its squared
+    deviations come from a 256-entry table gathered at the pixels and are
+    summed over an array of the image's shape, in np.std's order.  ASD is the
+    Laplacian of the integer difference lut[v] - v gathered at the padded
+    pixels, as lap(b) - lap(a) = lap(b - a); every term is an integer below
+    2**15, so int16 holds it and the int64 sum is exact.
+    """
+    n = img.pixels.size
+    hist = np.bincount(img.pixels.ravel(), minlength=256)
+    a = img.pixels.astype(np.float64)
+    mean_a = float(a.mean())
+    std_a = float(a.std())
+    levels = np.arange(256)
+    idx = img.pixels.astype(np.intp)
+    padded = np.pad(idx, 1, mode="edge")
+    for t in range(255):
+        lut = _split_lut(hist, t)
+        mean_b = int(lut @ hist) / n
+        rbd = abs(mean_b - mean_a) / 255.0
+        dev = lut - mean_b
+        std_b = float(np.sqrt(np.add.reduce((dev * dev)[idx], axis=None) / n))
+        rcd = (std_b - std_a) / max(std_a, _STD_EPS)
+        d = (lut - levels).astype(np.int16)[padded]
+        lap = d[:-2, 1:-1] + d[2:, 1:-1] + d[1:-1, :-2] + d[1:-1, 2:] - 4 * d[1:-1, 1:-1]
+        asd = float(np.abs(lap).sum(dtype=np.int64)) / n / 255.0
+        yield t, rbd, rcd, asd
+
+
 def optimize_split(
     img: GrayImage,
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
@@ -211,14 +256,19 @@ def optimize_split(
 
     The search is exhaustive over all 255 candidates, so the brute-force
     re-evaluation in the tests is the definition.  Ties go to the smaller t.
+    The histogram, the input's mean and std and a padded copy of its pixels
+    are computed once; per split, RBD comes from the LUT and the histogram,
+    and RCD and ASD from one gather each at the pixels (`_split_metrics`).
+    Every metric equals what `metrics` gives on the candidate image, bit for
+    bit, so the chosen t and the report do too.
     """
+    if not all(math.isfinite(w) and w >= 0 for w in weights) or not any(weights):
+        raise ConfigError(
+            f"weights must be finite, >= 0 and not all zero, got {weights}"
+        )
     w_b, w_o, w_d = weights
-    if w_b < 0 or w_o < 0 or w_d < 0 or (w_b == w_o == w_d == 0):
-        raise ConfigError(f"weights must be >= 0 and not all zero, got {weights}")
     best: EnhanceReport | None = None
-    for t in range(255):
-        candidate = apply_lut(img, bi_he(img, t))
-        rbd, rcd, asd = metrics(img, candidate)
+    for t, rbd, rcd, asd in _split_metrics(img):
         bps, ocs, dps = scores(rbd, rcd, asd)
         aggregate = w_b * bps + w_o * ocs + w_d * dps
         if best is None or aggregate > best.aggregate:

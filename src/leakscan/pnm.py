@@ -76,6 +76,8 @@ def write_pnm(path: str, pixels: np.ndarray) -> None:
         h, w = arr.shape[:2]
     else:
         raise DataError(f"unsupported pixel array shape {arr.shape}")
+    if arr.size == 0:
+        raise DataError(f"PNM writer needs a non-empty image, got shape {arr.shape}")
     with open(path, "wb") as f:
         f.write(magic + b"\n%d %d\n255\n" % (w, h))
         f.write(arr.tobytes())

@@ -235,6 +235,12 @@ def _parse_object(data, path: str) -> DetectedObject:
         polygon = PolygonMask(tuple(verts))
     except DataError as e:
         raise DataError(f"{path}.polygon: {e}") from None
+    # Not polygon.bbox(): a collinear outline is a valid polygon but no valid BBox.
+    xs, ys = zip(*verts)
+    extent = [min(xs), min(ys), max(xs), max(ys)]
+    if not (box.x1 <= extent[0] and box.y1 <= extent[1]
+            and extent[2] <= box.x2 and extent[3] <= box.y2):
+        raise DataError(f"{path}.bbox: does not contain the polygon's bounding box {extent}")
     return DetectedObject(
         id=data["id"], label=label, confidence=float(score), bbox=box, polygon=polygon
     )
@@ -244,7 +250,8 @@ def parse_scene_json(text: str) -> Scene:
     """Parse one scene from its JSON document.
 
     Raises DataError with the offending field path for malformed JSON,
-    unknown class strings, out-of-range confidences or degenerate geometry.
+    unknown class strings, out-of-range confidences, degenerate geometry or
+    a bbox that does not contain its polygon's bounding box.
     """
     try:
         data = json.loads(text)

@@ -207,6 +207,11 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ["enhance", str(src), "--out", str(tmp_path / "o.pgm"), "--weights", "1,2"]
     ) == 1
     assert "exactly three" in capsys.readouterr().err
+    for bad in ("nan,1,1", "inf,1,1"):
+        assert main(
+            ["enhance", str(src), "--out", str(tmp_path / "o.pgm"), "--weights", bad]
+        ) == 1
+        assert "weights must be finite" in capsys.readouterr().err
     old_enhance = tmp_path / "pipeline.json"
     old_enhance.write_text(json.dumps({"rules": "r", "relnet_weights": "w", "enhance": 3}))
     assert main(["infer", "--config", str(old_enhance), "--scene", "s.json"]) == 1

@@ -18,6 +18,7 @@ from leakscan.enhance import (
     scores,
     ycrcb_to_rgb,
 )
+from leakscan.enhance import _split_metrics
 
 
 def random_gray(rng, w=32, h=32, lo=0, hi=256):
@@ -133,12 +134,48 @@ def test_optimize_split_matches_brute_force():
         assert report.aggregate == pytest.approx(aggs[t_want], abs=1e-12)
 
 
+def _split_metrics_cases():
+    rng = np.random.default_rng(8)
+    color = ColorImage.from_array(rng.integers(60, 200, size=(21, 18, 3), dtype=np.uint8))
+    two_level = np.zeros((6, 9), dtype=np.uint8)
+    two_level[:, 4:] = 255
+    return {
+        "1x1": np.array([[77]], dtype=np.uint8),
+        "1xN": rng.integers(0, 256, size=(1, 37), dtype=np.uint8),
+        "Nx1": rng.integers(0, 256, size=(41, 1), dtype=np.uint8),
+        "odd": rng.integers(0, 256, size=(13, 17), dtype=np.uint8),
+        "flat": np.full((7, 5), 42, dtype=np.uint8),
+        "two-level": two_level,
+        "bright-only": rng.integers(200, 256, size=(15, 11), dtype=np.uint8),
+        "dark-only": rng.integers(0, 40, size=(11, 15), dtype=np.uint8),
+        "color-Y": rgb_to_ycrcb(color)[0].pixels,
+        # Past numpy's 8192-element pairwise-summation block.
+        "512x512": rng.integers(0, 256, size=(512, 512), dtype=np.uint8),
+    }
+
+
+SPLIT_METRICS_CASES = _split_metrics_cases()
+
+
+@pytest.mark.parametrize("name", list(SPLIT_METRICS_CASES))
+def test_split_metrics_equal_metrics_bit_for_bit(name):
+    img = GrayImage.from_array(SPLIT_METRICS_CASES[name])
+    got = list(_split_metrics(img))
+    assert [t for t, *_ in got] == list(range(255))
+    for t, rbd, rcd, asd in got:
+        want = metrics(img, apply_lut(img, bi_he(img, t)))
+        assert (rbd, rcd, asd) == want, f"t={t}"
+
+
 def test_optimize_split_weight_validation():
     img = GrayImage.from_array(np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(ConfigError, match="weights"):
         optimize_split(img, (1.0, -0.5, 1.0))
     with pytest.raises(ConfigError, match="weights"):
         optimize_split(img, (0.0, 0.0, 0.0))
+    for bad in [(float("nan"), 1.0, 1.0), (float("inf"), 1.0, 1.0), (1.0, 1.0, -float("inf"))]:
+        with pytest.raises(ConfigError, match="finite"):
+            optimize_split(img, bad)
 
 
 def test_enhance_raises_low_contrast_std():

@@ -194,6 +194,19 @@ def test_scene_json_optional_fields_default():
         ),
         (
             '{"width": 10, "height": 10, "objects": [{"id": 0, "class": "ground",'
+            ' "score": 0.5, "bbox": [0, 0, 5, 5],'
+            ' "polygon": [[0, 0], [5, 0], [5, 5.5]]}]}',
+            r"\$.objects\[0\].bbox: does not contain the polygon's bounding box"
+            r" \[0.0, 0.0, 5.0, 5.5\]",
+        ),
+        (
+            '{"width": 10, "height": 10, "objects": [{"id": 0, "class": "ground",'
+            ' "score": 0.5, "bbox": [1, 0, 5, 5],'
+            ' "polygon": [[0, 0], [5, 0], [5, 5]]}]}',
+            r"\$.objects\[0\].bbox: does not contain",
+        ),
+        (
+            '{"width": 10, "height": 10, "objects": [{"id": 0, "class": "ground",'
             ' "score": 0.5, "bbox": [0, 0, 5, 5], "polygon": [[0, 0], [5], [5, 5]]}]}',
             r"\$.objects\[0\].polygon\[1\]: expected \[x, y\]",
         ),
