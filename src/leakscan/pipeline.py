@@ -297,12 +297,9 @@ def scene_pair_probs(params: rn.RelNetParams, scene: Scene):
     ]
     cache: dict[tuple[int, int], np.ndarray] = {}
     if pairs:
-        samples = [
-            rn.make_pair_sample(
-                s, r, scene.image_width, scene.image_height, grid=params.config.grid
-            )
-            for s, r in pairs
-        ]
+        samples = rn.all_pair_samples(
+            scene.objects, scene.image_width, scene.image_height, grid=params.config.grid
+        )
         _labels, probs = rn.predict_batch(params, samples)
         for (s, r), p in zip(pairs, probs):
             cache[(s.id, r.id)] = p

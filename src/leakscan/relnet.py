@@ -15,6 +15,17 @@ conv -> ReLU -> max-pool without building the full-resolution conv output.
 Each pooled gradient goes to the first phase in row-major window order that
 attains the max, so ties go to the first phase.
 
+conv1 reads a one-channel raster with only three levels (0, 0.5, 1), and
+each of its pooled cells depends only on one 4x4 window of the padded
+raster, so it is computed from a table: the layer runs once per distinct
+window and a gather spreads the rows over the batch.  This is exact on
+three-level input: every product of an input level and a weight is exact,
+and the GEMM gives a row the same value whatever the other rows are (the
+tests check this bit for bit against the per-phase layer), so each row is a
+function of its window alone; bias, max, ReLU and the recorded phase are
+elementwise on those values.  Pair samples only admit three-level rasters,
+which is what makes the table safe.
+
 Everything is plain numpy with hand-written backpropagation; gradients are
 verified against central finite differences in the tests.  All computation
 is float64 and deterministic: fixed seeds reproduce bit-identical parameters
@@ -28,6 +39,7 @@ import enum
 import json
 import math
 import zipfile
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -270,9 +282,37 @@ def make_pair_sample(
     frame = pair_frame(subject.bbox, reference.bbox)
     sub = rasterize(subject.polygon, frame, grid, grid)
     ref = rasterize(reference.polygon, frame, grid, grid)
-    values = np.maximum(sub.values, 0.5 * ref.values)
+    return _pair_sample(subject, reference, sub, ref, img_w, img_h, label)
+
+
+def all_pair_samples(
+    objects: Sequence[DetectedObject], img_w: float, img_h: float, grid: int = PAIR_GRID
+) -> list[PairSample]:
+    """make_pair_sample for every ordered pair of distinct objects, unlabeled.
+
+    The order is subject outer, reference inner: (0, 1), (0, 2), ...,
+    (1, 0), (1, 2), ...  pair_frame is symmetric, so each unordered pair is
+    rasterized once and serves both of its orders.
+    """
+    n = len(objects)
+    masks: dict[tuple[int, int], MaskRaster] = {}  # (i, j) -> object i in the frame of {i, j}
+    for i in range(n):
+        for j in range(i + 1, n):
+            frame = pair_frame(objects[i].bbox, objects[j].bbox)
+            masks[i, j] = rasterize(objects[i].polygon, frame, grid, grid)
+            masks[j, i] = rasterize(objects[j].polygon, frame, grid, grid)
+    return [
+        _pair_sample(objects[i], objects[j], masks[i, j], masks[j, i], img_w, img_h)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    ]
+
+
+def _pair_sample(subject, reference, sub, ref, img_w, img_h, label=None):
+    """The pair sample of two masks rasterized in the pair's frame."""
     return PairSample(
-        raster=MaskRaster(grid, grid, values),
+        raster=MaskRaster(sub.width, sub.height, np.maximum(sub.values, 0.5 * ref.values)),
         v_poi=position_vector(subject, reference, img_w, img_h),
         v_cls=class_vector(subject.label, reference.label),
         label=label,
@@ -282,6 +322,9 @@ def make_pair_sample(
 # ---------------------------------------------------------------------------
 # Layers (batched, NHWC)
 # ---------------------------------------------------------------------------
+
+_POOL_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))  # (di, dj), row-major
+
 
 def _im2col(xp, kh, kw, stride, oh, ow, r0=0, c0=0):
     """im2col rows for output positions (r0 + i*stride, c0 + j*stride)."""
@@ -295,6 +338,31 @@ def _im2col(xp, kh, kw, stride, oh, ow, r0=0, c0=0):
     return win.reshape(batch * oh * ow, kh * kw * cin)
 
 
+def _phase_max_relu(rows, phase_cols, w_mat, b, record):
+    """ReLU of the max over the four pool phases of ``cols @ w_mat + b``.
+
+    ``phase_cols`` yields the (rows, K) im2col matrix of each phase (di, dj)
+    in row-major order; a generator keeps only one of them alive at a time.
+    With record=True also returns the first phase attaining each max
+    (strict >, so ties go to the earlier phase), else None.
+    """
+    pooled = np.empty((rows, w_mat.shape[1]))
+    phase_out = np.empty_like(pooled)
+    idx = np.zeros(pooled.shape, dtype=np.uint8) if record else None
+    for phase, cols in enumerate(phase_cols):
+        out = pooled if phase == 0 else phase_out
+        np.matmul(cols, w_mat, out=out)
+        out += b
+        if phase:
+            if record:
+                # idx < phase here, so this sets idx to phase exactly where
+                # the phase is strictly larger (a masked copy is much slower).
+                np.maximum(idx, (phase_out > pooled) * np.uint8(phase), out=idx)
+            np.maximum(pooled, phase_out, out=pooled)
+    np.maximum(pooled, 0.0, out=pooled)
+    return pooled, idx
+
+
 def _conv_pool_forward(x, w, b, stride, pad, record=False):
     """3x3 conv -> 2x2 stride-2 max-pool -> ReLU, one GEMM per pool phase.
 
@@ -306,35 +374,61 @@ def _conv_pool_forward(x, w, b, stride, pad, record=False):
     smaller row count, which can move a last bit for some shapes; the tests
     compare against the full-resolution layer with exact arithmetic and at
     the paper-size net.  With record=True the cache keeps the first phase
-    attaining each max (strict >, so ties go to the earlier phase) for
-    _conv_pool_backward.
+    attaining each max for _conv_pool_backward.
     """
     batch, h, wd, _ = x.shape
     kh, kw, cin, filters = w.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
     ph = ((h + 2 * pad - kh) // stride + 1) // 2
     pw = ((wd + 2 * pad - kw) // stride + 1) // 2
-    w_mat = w.reshape(kh * kw * cin, filters)
-    pooled = np.empty((batch * ph * pw, filters))
-    phase_out = np.empty_like(pooled)
-    idx = np.zeros(pooled.shape, dtype=np.uint8) if record else None
-    for phase in range(4):
-        di, dj = divmod(phase, 2)
-        cols = _im2col(xp, kh, kw, 2 * stride, ph, pw, di * stride, dj * stride)
-        out = pooled if phase == 0 else phase_out
-        np.matmul(cols, w_mat, out=out)
-        out += b
-        if phase:
-            if record:
-                # idx < phase here, so this sets idx to phase exactly where
-                # the phase is strictly larger (a masked copy is much slower).
-                np.maximum(idx, (phase_out > pooled) * np.uint8(phase), out=idx)
-            np.maximum(pooled, phase_out, out=pooled)
-    np.maximum(pooled, 0.0, out=pooled)
+    phase_cols = (
+        _im2col(xp, kh, kw, 2 * stride, ph, pw, di * stride, dj * stride)
+        for di, dj in _POOL_PHASES
+    )
+    pooled, idx = _phase_max_relu(
+        batch * ph * pw, phase_cols, w.reshape(kh * kw * cin, filters), b, record
+    )
     pooled = pooled.reshape(batch, ph, pw, filters)
     if record:
         idx = idx.reshape(pooled.shape)
     return pooled, (xp, pooled, idx, stride, pad)
+
+
+def _conv1_pool_forward(x, w, b, record=False):
+    """``_conv_pool_forward(x, w, b, 1, 1, record)`` for three-level rasters,
+    evaluated once per distinct input window.
+
+    Pooled cell (i, j) reads only the 4x4 window of the padded raster at
+    rows 2i..2i+3 and columns 2j..2j+3.  Every window is coded in base 3
+    (16 digits of 2x), the per-phase layer runs on one representative of
+    each distinct code, and one gather spreads the rows, and the recorded
+    phases, back over all cells.  The cache is the one _conv_pool_forward
+    builds, so _conv_pool_backward applies unchanged.
+    """
+    batch, h, wd, _ = x.shape
+    filters = w.shape[-1]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    ph, pw = h // 2, wd // 2
+    # A window is 2x2 aligned blocks of 2x2 cells: code the blocks (base 81),
+    # then each window from its four blocks.
+    d = (2.0 * xp[..., 0]).astype(np.int32)
+    blocks = 27 * d[:, 0::2, 0::2] + 9 * d[:, 0::2, 1::2]
+    blocks += 3 * d[:, 1::2, 0::2] + d[:, 1::2, 1::2]
+    codes = ((81 * blocks[:, :-1, :-1] + blocks[:, :-1, 1:]) * 81 + blocks[:, 1:, :-1]) * 81
+    codes += blocks[:, 1:, 1:]
+    _, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
+    s0, s1, s2, s3 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(batch, ph, pw, 4, 4, 1), strides=(s0, 2 * s1, 2 * s2, s1, s2, s3)
+    )
+    rep = windows[np.unravel_index(first, (batch, ph, pw))]
+    phase_cols = (
+        rep[:, di : di + 3, dj : dj + 3].reshape(len(first), 9) for di, dj in _POOL_PHASES
+    )
+    table, table_idx = _phase_max_relu(len(first), phase_cols, w.reshape(9, filters), b, record)
+    pooled = table[inverse].reshape(batch, ph, pw, filters)
+    idx = table_idx[inverse].reshape(pooled.shape) if record else None
+    return pooled, (xp, pooled, idx, 1, 1)
 
 
 def _conv_pool_backward(dy, w, cache, need_dx):
@@ -382,9 +476,7 @@ def _forward_batch(
     params: RelNetParams, rasters: np.ndarray, vecs: np.ndarray, record: bool = False
 ):
     t = params.tensors
-    m1, cache1 = _conv_pool_forward(
-        rasters, t["conv1_w"], t["conv1_b"], stride=1, pad=1, record=record
-    )
+    m1, cache1 = _conv1_pool_forward(rasters, t["conv1_w"], t["conv1_b"], record=record)
     m2, cache2 = _conv_pool_forward(
         m1, t["conv2_w"], t["conv2_b"], stride=2, pad=0, record=record
     )
@@ -563,7 +655,14 @@ def predict(
 def predict_batch(
     params: RelNetParams, samples: list[PairSample], batch_size: int = 256
 ) -> tuple[list[RelationLabel], np.ndarray]:
-    """Batched predict for evaluation; same results as predict, faster."""
+    """Batched predict over samples, in chunks of batch_size.
+
+    The conv layers give each sample the same values whatever its
+    batch-mates, but the fully connected GEMMs may round a last bit
+    differently with the batch's size and content, so the probabilities
+    agree with predict to within about 1e-15 (the tests use atol=1e-12),
+    not bit for bit.  Labels come from the same argmax as predict.
+    """
     probs = []
     for start in range(0, len(samples), batch_size):
         rasters, vecs = _stack_batch(params.config, samples[start : start + batch_size])

@@ -309,6 +309,9 @@ def serialize_scene(scene: Scene) -> str:
 # Geometry
 # ---------------------------------------------------------------------------
 
+_EDGE_BLOCK = 64  # polygon edges per points_in_polygon pass
+
+
 def rasterize(polygon: PolygonMask, bbox_frame: BBox, out_w: int, out_h: int) -> MaskRaster:
     """Rasterize a polygon into an out_h x out_w grid mapped over bbox_frame.
 
@@ -320,28 +323,32 @@ def rasterize(polygon: PolygonMask, bbox_frame: BBox, out_w: int, out_h: int) ->
         raise DataError(f"raster size must be >= 1, got {out_w}x{out_h}")
     cx = bbox_frame.x1 + (np.arange(out_w) + 0.5) * (bbox_frame.width / out_w)
     cy = bbox_frame.y1 + (np.arange(out_h) + 0.5) * (bbox_frame.height / out_h)
-    px, py = np.meshgrid(cx, cy)
-    inside = points_in_polygon(px, py, polygon)
+    inside = points_in_polygon(cx[None, :], cy[:, None], polygon)
     return MaskRaster(width=out_w, height=out_h, values=inside.astype(np.float64))
 
 
 def points_in_polygon(px: np.ndarray, py: np.ndarray, polygon: PolygonMask) -> np.ndarray:
-    """Even-odd (ray crossing) inside test, vectorized over point arrays."""
-    verts = polygon.vertices
-    inside = np.zeros(np.shape(px), dtype=bool)
-    n = len(verts)
-    for k in range(n):
-        x1, y1 = verts[k]
-        x2, y2 = verts[(k + 1) % n]
+    """Even-odd (ray crossing) inside test, vectorized over points and edges.
+
+    px and py broadcast against each other, so a row of x and a column of y
+    give a grid, and the result has their broadcast shape.  A point is
+    inside iff the ray from it toward +x crosses an odd number of edges.
+    Edges go in blocks of _EDGE_BLOCK, which bounds memory by the block size
+    times the point count however many vertices the polygon has.
+    """
+    shape = np.broadcast_shapes(np.shape(px), np.shape(py))
+    ring = np.asarray(polygon.vertices, dtype=np.float64)
+    # Edge k runs from vertex k to vertex k + 1; the last one closes the ring.
+    edges = np.concatenate([ring, np.roll(ring, -1, axis=0)], axis=1)
+    edges = edges.reshape(edges.shape + (1,) * len(shape))
+    inside = np.zeros(shape, dtype=bool)
+    for k in range(0, len(edges), _EDGE_BLOCK):
+        x1, y1, x2, y2 = edges[k : k + _EDGE_BLOCK].swapaxes(0, 1)
         crosses = (y1 > py) != (y2 > py)
-        if not np.any(crosses):
-            continue
-        # Intersection of the edge with the horizontal ray through each point.
-        xint = np.full(np.shape(px), np.inf)
-        np.divide(
-            (x2 - x1) * (py - y1), (y2 - y1), out=xint, where=crosses
-        )
-        inside ^= crosses & (px < xint + x1)
+        # Intersection of each edge with the horizontal ray through each point.
+        xint = np.full(crosses.shape, np.inf)
+        np.divide((x2 - x1) * (py - y1), (y2 - y1), out=xint, where=crosses)
+        inside ^= np.logical_xor.reduce(crosses & (px < xint + x1), axis=0)
     return inside
 
 

@@ -209,6 +209,29 @@ def test_parse_errors_report_position(text, message):
         parse_rules(text)
 
 
+def test_rule_dsl_fuzz_raises_only_located_errors(text_mutator):
+    """Corrupted rule texts parse to rules that print and parse back
+    unchanged, or raise DataError or ConfigError."""
+    rules = parse_rules(RULES_TEXT)
+    weighted = [
+        (ast, RuleParams(weights=tuple(0.25 * (k + 1) for k in range(len(ast.body))), bias=-0.5))
+        for ast, _ in rules
+    ]
+    texts = [RULES_TEXT, print_rules(weighted)]
+    rng = np.random.default_rng(15)
+    outcomes = {"parsed": 0, "rejected": 0}
+    for trial in range(1200):
+        text = text_mutator(rng, texts[trial % 2])
+        try:
+            parsed = parse_rules(text)
+        except (DataError, ConfigError):
+            outcomes["rejected"] += 1
+            continue
+        assert parse_rules(print_rules(parsed)) == parsed
+        outcomes["parsed"] += 1
+    assert min(outcomes.values()) > 50, outcomes  # both outcomes are exercised
+
+
 def test_rule_ast_validation():
     with pytest.raises(DataError, match="positive unary"):
         RuleAST(Atom("OilArea", ("A", "B")), (Atom("Ground", ("A",)),))

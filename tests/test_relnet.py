@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leakscan import relnet
+from leakscan import relnet, scenegen
 from leakscan.errors import ConfigError, DataError, NumericError
+from leakscan.pipeline import COMPACT_RELNET_CONFIG
 from leakscan.relnet import (
     EpochStats,
     PairSample,
@@ -21,6 +22,7 @@ from leakscan.relnet import (
     RelNetParams,
     RelationLabel,
     TrainConfig,
+    all_pair_samples,
     forward,
     init_params,
     load_params,
@@ -161,6 +163,36 @@ def test_make_pair_sample_geometry():
     assert rows_subject.max() < rows_reference.min()  # subject drawn above
     assert s.label is RelationLabel.ABOVE
     assert s.feature_vector().shape == (16,)
+
+
+def test_all_pair_samples_match_make_pair_sample(monkeypatch):
+    """Every ordered pair equals make_pair_sample, from one rasterize call per
+    object and unordered pair."""
+    calls = []
+    original = relnet.rasterize
+
+    def counting_rasterize(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(relnet, "rasterize", counting_rasterize)
+    cfg = scenegen.GenConfig(tanks=(1, 2), blobs=(3, 6), distractor_prob=0.5, seed=4)
+    for index in range(6):  # 5 to 10 objects
+        scene = scenegen.gen_scene(cfg, index)
+        objs = scene.objects
+        for grid in (12, 28):
+            calls.clear()
+            got = all_pair_samples(objs, scene.image_width, scene.image_height, grid)
+            n = len(objs)
+            assert len(calls) == n * (n - 1)
+            want = [
+                make_pair_sample(s, r, scene.image_width, scene.image_height, grid=grid)
+                for s in objs
+                for r in objs
+                if s is not r
+            ]
+            assert got == want  # raster, v_poi and v_cls, in this order
+    assert all_pair_samples(objs[:1], 100, 100) == all_pair_samples((), 100, 100) == []
 
 
 def test_train_config_lr_schedule():
@@ -378,11 +410,68 @@ def test_loss_and_grad_matches_reference_at_paper_size(monkeypatch):
     batch = synth_batch(rng, 6, config)
     loss, grads = loss_and_grad(params, batch)
     monkeypatch.setattr(relnet, "_conv_pool_forward", _ref_conv_pool_forward)
+    monkeypatch.setattr(
+        relnet, "_conv1_pool_forward",
+        lambda x, w, b, record=False: _ref_conv_pool_forward(x, w, b, 1, 1, record),
+    )
     monkeypatch.setattr(relnet, "_conv_pool_backward", _ref_conv_pool_backward)
     ref_loss, ref_grads = loss_and_grad(params, batch)
     assert loss == ref_loss
     for name, g in grads.tensors.items():
         assert g.tobytes() == ref_grads.tensors[name].tobytes(), name
+
+
+def _three_level_masks(rng, grid, n):
+    """n masks of the given grid: constants, checkerboards, real pair rasters
+    from generated scenes, and random three-level masks, in a seeded order."""
+    rows, cols = np.indices((grid, grid))
+    masks = [np.full((grid, grid), v) for v in (0.0, 0.5, 1.0)]
+    for lo, hi in ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (1.0, 0.0)):
+        for period in (1, 2, 3):
+            masks.append(np.where((rows // period + cols // period) % 2, hi, lo))
+    cfg = scenegen.GenConfig(seed=25)
+    index = 0
+    while len(masks) < n // 2:
+        scene = scenegen.gen_scene(cfg, index)
+        index += 1
+        samples = all_pair_samples(scene.objects, scene.image_width, scene.image_height, grid)
+        masks += [s.raster.values for s in samples[:12]]
+    while len(masks) < n:
+        p = rng.dirichlet(np.ones(3))
+        masks.append(rng.choice([0.0, 0.5, 1.0], size=(grid, grid), p=p))
+    order = rng.permutation(n)
+    return np.stack(masks[:n])[order][..., None]
+
+
+@pytest.mark.parametrize(
+    "config", [TINY, COMPACT_RELNET_CONFIG, RelNetConfig()], ids=["tiny", "compact", "paper"]
+)
+def test_conv1_table_matches_conv_pool_bit_for_bit(config):
+    """conv1's window table gives _conv_pool_forward's pooled map, recorded
+    phases and cache bit for bit, on three-level masks at many batch sizes."""
+    rng = np.random.default_rng(23)
+    t = init_params(config, seed=24).tensors
+    w = t["conv1_w"]
+    b = rng.normal(scale=0.1, size=config.conv1_filters)  # biases move the ReLU cut
+    masks = _three_level_masks(rng, config.grid, 256)
+    for batch in (1, 2, 5, 32, 56, 97, 256):
+        x = masks[:batch] if batch == 256 else masks[rng.integers(0, 256, size=batch)]
+        for record in (False, True):
+            want, want_cache = relnet._conv_pool_forward(x, w, b, 1, 1, record=record)
+            got, got_cache = relnet._conv1_pool_forward(x, w, b, record=record)
+            assert np.array_equal(got, want), (batch, record)
+            assert np.array_equal(got_cache[0], want_cache[0])
+            assert got_cache[1] is got
+            if record:
+                assert got_cache[2].dtype == np.uint8
+                assert np.array_equal(got_cache[2], want_cache[2]), batch
+            else:
+                assert got_cache[2] is None
+            assert got_cache[3:] == want_cache[3:] == (1, 1)
+    # The recorded phases take every value and the pooled map both sides of
+    # the ReLU.
+    assert set(np.unique(got_cache[2])) == {0, 1, 2, 3}
+    assert (got == 0).any() and (got > 0).any()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from leakscan.errors import DataError
+from leakscan.errors import ConfigError, DataError
 from leakscan.scene import (
     BBox,
     CLASS_DIM,
@@ -26,6 +26,7 @@ from leakscan.scene import (
     serialize_scene,
     union_bbox,
 )
+from leakscan.scenegen import GenConfig, gen_scene
 
 
 def make_object(
@@ -158,6 +159,25 @@ def test_scene_json_round_trip_exact():
         assert again == scene  # bit-exact float round trip via repr
 
 
+def test_scene_json_fuzz_raises_only_located_errors(text_mutator):
+    """Corrupted scene documents parse to a scene that round-trips, or raise
+    DataError or ConfigError."""
+    cfg = GenConfig(tanks=(1, 2), blobs=(2, 4), distractor_prob=0.5, seed=12)
+    docs = [serialize_scene(gen_scene(cfg, i)) for i in range(4)]
+    rng = np.random.default_rng(13)
+    outcomes = {"parsed": 0, "rejected": 0}
+    for trial in range(1200):
+        text = text_mutator(rng, docs[trial % len(docs)])
+        try:
+            scene = parse_scene_json(text)
+        except (DataError, ConfigError):
+            outcomes["rejected"] += 1
+            continue
+        assert parse_scene_json(serialize_scene(scene)) == scene
+        outcomes["parsed"] += 1
+    assert min(outcomes.values()) > 50, outcomes  # both outcomes are exercised
+
+
 def test_scene_json_optional_fields_default():
     s = parse_scene_json('{"width": 10, "height": 10, "objects": []}')
     assert s.image_path is None and s.leak_label is None and s.objects == ()
@@ -276,6 +296,62 @@ def test_rasterize_matches_cell_center_oracle():
                 cx = frame.x1 + (col + 0.5) * frame.width / out_w
                 cy = frame.y1 + (row + 0.5) * frame.height / out_h
                 assert m.values[row, col] == float(_inside_slow(cx, cy, verts))
+
+
+def _points_in_polygon_per_edge(px, py, polygon):
+    """The former one-edge-at-a-time points_in_polygon, kept as reference."""
+    verts = polygon.vertices
+    inside = np.zeros(np.shape(px), dtype=bool)
+    n = len(verts)
+    for k in range(n):
+        x1, y1 = verts[k]
+        x2, y2 = verts[(k + 1) % n]
+        crosses = (y1 > py) != (y2 > py)
+        if not np.any(crosses):
+            continue
+        xint = np.full(np.shape(px), np.inf)
+        np.divide((x2 - x1) * (py - y1), (y2 - y1), out=xint, where=crosses)
+        inside ^= crosses & (px < xint + x1)
+    return inside
+
+
+def _random_ring(rng, n):
+    """n vertices, no two consecutive equal: on a coarse integer lattice
+    (horizontal and vertical edges, vertices on cell centres, crossings) or
+    uniform (self-intersecting in general)."""
+    while True:
+        if rng.integers(0, 2):
+            pts = rng.integers(0, 7, size=(n, 2)) * 2.0 + 0.5
+        else:
+            pts = rng.uniform(-1.0, 15.0, size=(n, 2))
+        verts = tuple((float(x), float(y)) for x, y in pts)
+        if all(verts[i] != verts[i - 1] for i in range(n)):
+            return PolygonMask(verts)
+
+
+def test_points_in_polygon_matches_per_edge_reference():
+    rng = np.random.default_rng(7)
+    frame = BBox(0.0, 0.0, 14.0, 14.0)  # 14x14 cells: centres at k + 0.5
+    saw_horizontal = saw_on_centre = False
+    for trial in range(300):
+        n = int(rng.integers(3, 12)) if trial % 10 else int(rng.integers(60, 200))
+        poly = _random_ring(rng, n)
+        verts = np.array(poly.vertices)
+        saw_horizontal |= bool((verts[:, 1] == np.roll(verts[:, 1], -1)).any())
+        saw_on_centre |= bool((verts % 1.0 == 0.5).all(axis=1).any())
+        cx = frame.x1 + (np.arange(14) + 0.5) * (frame.width / 14)
+        cy = frame.y1 + (np.arange(14) + 0.5) * (frame.height / 14)
+        px, py = np.meshgrid(cx, cy)
+        want = _points_in_polygon_per_edge(px, py, poly)
+        assert np.array_equal(points_in_polygon(px, py, poly), want)
+        got = points_in_polygon(cx[None, :], cy[:, None], poly)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(rasterize(poly, frame, 14, 14).values, want.astype(np.float64))
+        qx, qy = rng.uniform(-2.0, 16.0, size=(2, 40))
+        assert np.array_equal(
+            points_in_polygon(qx, qy, poly), _points_in_polygon_per_edge(qx, qy, poly)
+        )
+    assert saw_horizontal and saw_on_centre
 
 
 def test_rasterize_full_cover_and_size_validation():
