@@ -33,11 +33,19 @@ on nor near itself.
 
 Weight learning is joint gradient descent on binary cross-entropy between
 the ruleset score and the scene leak label, with subgradients routed
-through the max picks and zeroed outside the clamp range.
+through the max picks and zeroed outside the clamp range.  The corpus is
+grounded once; each step then scores it whole, as tensor grounding in Logic
+Tensor Networks does: per rule, the scenes' binding matrices are stacked
+(equal row counts in one 3-D array), a segment max finds each scene's first
+best binding, and one argmax over rules per scene finds the winner.  The
+step is bit-identical to scoring one scene at a time: every value comes
+from the same elementwise operations and the same per-matrix BLAS call,
+and the loss and the gradients are summed in scene order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -450,44 +458,107 @@ class RuleTrainStats:
     train_acc: float
 
 
-def _ground_corpus(rules, scenes, pair_probs_factory):
-    out = []
+@dataclass(frozen=True)
+class _StackedGroundings:
+    """One rule's groundings over a corpus, for the whole-corpus fit step.
+
+    Block k is the non-empty ground_rule matrix of scene scene[k].  The
+    blocks are ordered by row count, then scene; those of one row count
+    are stacked in one 3-D array of groups.  rows holds all their rows in
+    block order, block k from row starts[k] on, sizes[k] of them.
+    """
+
+    groups: list[np.ndarray]
+    rows: np.ndarray
+    scene: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
+def _ground_corpus(rules, scenes, pair_probs_factory) -> list[_StackedGroundings]:
+    per_scene = []
     for scene in scenes:
         fn = pair_probs_factory(scene)
-        out.append([ground_rule(rule, scene, fn) for rule in rules])
-    return out
+        per_scene.append([ground_rule(rule, scene, fn)[0] for rule in rules])
+    stacked = []
+    for r, rule in enumerate(rules):
+        xs = [g[r] for g in per_scene]
+        order = sorted((i for i, x in enumerate(xs) if len(x)), key=lambda i: len(xs[i]))
+        sizes = np.array([len(xs[i]) for i in order], dtype=np.intp)
+        stacked.append(_StackedGroundings(
+            groups=[
+                np.stack([xs[i] for i in same])
+                for _, same in itertools.groupby(order, key=lambda i: len(xs[i]))
+            ],
+            rows=np.concatenate([xs[i] for i in order]) if order else np.zeros((0, len(rule.body))),
+            scene=np.array(order, dtype=np.intp),
+            starts=np.cumsum(sizes) - sizes,
+            sizes=sizes,
+        ))
+    return stacked
 
 
-def _loss_and_grad_grounded(vecs, groundings, labels):
-    """Loss, per-rule gradients and accuracy for flat [b1..bn, c] vectors."""
+def _fit_step(stacked: list[_StackedGroundings], vecs, labels):
+    """Loss, per-rule gradients and accuracy for flat [b1..bn, c] vectors.
+
+    The whole corpus is scored at once, with the arithmetic of one scene at
+    a time, so every bit matches it:
+      * each scene's block meets the weights in its own matrix-vector
+        product: matmul over a stack of equal-size blocks makes, for each
+        block, the BLAS call a lone block gets, whereas one GEMV over all
+        rows may round a row differently with the row count; bias and
+        clamp are elementwise;
+      * each scene's best binding is the first row attaining its block's
+        maximum, and its best rule the first attaining the scene maximum,
+        as np.argmax picks them;
+      * the loss is summed in Python in scene order, with math.log;
+      * each rule's gradient adds its scenes' contributions in scene order
+        to a zero start (np.cumsum adds in sequence; np.sum may pair up).
+    Subgradients follow the winning rule and binding and vanish outside the
+    clamp range or where the cross-entropy clip is active.
+    """
     n_scenes = len(labels)
-    grads = [np.zeros_like(v) for v in vecs]
+    n_rules = len(vecs)
+    scores = np.zeros((n_scenes, n_rules))
+    z_best = np.zeros((n_scenes, n_rules))
+    row_best = np.zeros((n_scenes, n_rules), dtype=np.intp)
+    for r, (gr, v) in enumerate(zip(stacked, vecs)):
+        if not gr.groups:
+            continue
+        z = np.concatenate([(x @ v[:-1]).ravel() for x in gr.groups]) + v[-1]
+        y = np.clip(z, 0.0, 1.0)
+        top = np.maximum.reduceat(y, gr.starts)
+        # A block whose maximum is NaN has no match; its last row stands in,
+        # and a NaN score never passes the gradient test below.
+        at_top = np.where(y == np.repeat(top, gr.sizes), np.arange(len(y)), len(y) - 1)
+        first = np.minimum.reduceat(at_top, gr.starts)
+        scores[gr.scene, r] = top
+        z_best[gr.scene, r] = z[first]
+        row_best[gr.scene, r] = first
+    scene = np.arange(n_scenes)
+    best = scores.argmax(axis=1)
+    p = scores[scene, best]
     loss = 0.0
-    correct = 0
-    for scene_i, label in enumerate(labels):
-        scores = np.zeros(len(vecs))
-        winners: list[int | None] = []
-        zs: list[float] = []
-        for r, (x, _ids) in enumerate(groundings[scene_i]):
-            if x.shape[0] == 0:
-                winners.append(None)
-                zs.append(0.0)
-                continue
-            i, scores[r], z = _best_binding(x, vecs[r][:-1], vecs[r][-1])
-            winners.append(i)
-            zs.append(z)
-        best = int(np.argmax(scores))
-        p = float(scores[best])
-        p_hat = min(max(p, _P_EPS), 1.0 - _P_EPS)
+    for p_s, label in zip(p.tolist(), labels):
+        p_hat = min(max(p_s, _P_EPS), 1.0 - _P_EPS)
         y_true = 1.0 if label else 0.0
         loss += -(y_true * math.log(p_hat) + (1.0 - y_true) * math.log(1.0 - p_hat))
-        correct += int((p >= 0.5) == bool(label))
-        if _P_EPS <= p <= 1.0 - _P_EPS and winners[best] is not None:
-            g = (-y_true / p + (1.0 - y_true) / (1.0 - p)) / n_scenes
-            if 0.0 <= zs[best] <= 1.0:
-                x_best = groundings[scene_i][best][0][winners[best]]
-                grads[best][:-1] += g * x_best
-                grads[best][-1] += g
+    y_true = np.array(labels, dtype=np.float64)
+    correct = int(np.count_nonzero((p >= 0.5) == (y_true == 1.0)))
+    # p >= _P_EPS > 0 also means the best rule has a binding in the scene.
+    fires = (p >= _P_EPS) & (p <= 1.0 - _P_EPS)
+    fires &= (z_best[scene, best] >= 0.0) & (z_best[scene, best] <= 1.0)
+    g_all = np.zeros(n_scenes)
+    g_all[fires] = (
+        -y_true[fires] / p[fires] + (1.0 - y_true[fires]) / (1.0 - p[fires])
+    ) / n_scenes
+    grads = []
+    for r, (gr, v) in enumerate(zip(stacked, vecs)):
+        mine = np.flatnonzero(fires & (best == r))
+        terms = np.zeros((len(mine) + 1, v.size))
+        terms[1:, :-1] = g_all[mine, None] * gr.rows[row_best[mine, r]]
+        terms[1:, -1] = g_all[mine]
+        grads.append(np.cumsum(terms, axis=0)[-1])
     return loss / n_scenes, grads, correct / n_scenes
 
 
@@ -505,9 +576,9 @@ def ruleset_loss_and_grad(
     range.  Returned per rule in the flat [b1..bn, c] layout.
     """
     labels = _require_labels(scenes)
-    groundings = _ground_corpus(rules, scenes, pair_probs_factory)
+    stacked = _ground_corpus(rules, scenes, pair_probs_factory)
     vecs = [p.vector() for p in params_list]
-    loss, grads, _acc = _loss_and_grad_grounded(vecs, groundings, labels)
+    loss, grads, _acc = _fit_step(stacked, vecs, labels)
     return loss, grads
 
 
@@ -545,7 +616,9 @@ def train_rule_params(
 
     Atom probabilities are fixed by the scenes and the relation classifier,
     so they are grounded once up front; each step only re-runs the cheap
-    affine/clamp/max part.  lr = 0 reproduces the initial parameters.
+    affine/clamp/max part, over the whole corpus at once (see _fit_step for
+    why that equals a scene-by-scene step bit for bit).  lr = 0 reproduces
+    the initial parameters.
     """
     if not rules:
         raise DataError("ruleset must contain at least one rule")
@@ -556,10 +629,10 @@ def train_rule_params(
         raise DataError("one initial RuleParams per rule required")
     params = init if init is not None else init_rule_params(rules, cfg.seed, cfg.init_jitter)
     vecs = [p.vector() for p in params]
-    groundings = _ground_corpus(rules, scenes, pair_probs_factory)
+    stacked = _ground_corpus(rules, scenes, pair_probs_factory)
     history: list[RuleTrainStats] = []
     for step in range(cfg.steps):
-        loss, grads, acc = _loss_and_grad_grounded(vecs, groundings, labels)
+        loss, grads, acc = _fit_step(stacked, vecs, labels)
         if not math.isfinite(loss):
             raise NumericError(f"non-finite rule-training loss at step {step}")
         for v, g in zip(vecs, grads):
@@ -583,26 +656,37 @@ def save_rule_params(params_list: list[RuleParams], path: str) -> None:
 
 
 def load_rule_params(path: str) -> list[RuleParams]:
+    """Read a file written by save_rule_params.  Each entry needs a list of
+    numbers for weights and a number for bias (JSON numbers, not strings or
+    booleans); a malformed file raises a DataError naming the file and, for
+    a bad entry, the rule index."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # bad JSON or UTF-8, or an integer too long to read
         raise DataError(f"corrupt rule parameter file {path}: {e}") from None
     if not isinstance(doc, dict):
-        raise DataError("rule parameter file must be a JSON object")
+        raise DataError(f"rule parameter file {path} must be a JSON object")
     out: list[RuleParams] = []
     for i in range(len(doc)):
         key = str(i)
         if key not in doc:
-            raise DataError(f"rule parameter file missing index {i}")
+            raise DataError(f"rule parameter file {path} missing index {i}")
         entry = doc[key]
+        where = f"rule parameter file {path}: rule {i}: bad parameter entry"
+        if not (isinstance(entry, dict) and "weights" in entry and "bias" in entry):
+            raise DataError(f"{where}: expected an object with weights and bias")
+        weights, bias = entry["weights"], entry["bias"]
+        if not (isinstance(weights, list) and all(map(_is_number, weights))):
+            raise DataError(f"{where}: weights must be a list of numbers")
+        if not _is_number(bias):
+            raise DataError(f"{where}: bias must be a number")
         try:
-            out.append(
-                RuleParams(
-                    weights=tuple(float(w) for w in entry["weights"]),
-                    bias=float(entry["bias"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"rule {i}: bad parameter entry: {e}") from None
+            out.append(RuleParams(weights=tuple(map(float, weights)), bias=float(bias)))
+        except (DataError, OverflowError) as e:  # no weights, non-finite or huge values
+            raise DataError(f"{where}: {e}") from None
     return out
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)

@@ -181,7 +181,7 @@ def load_pipeline_config(path: str) -> PipelineConfig:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # bad JSON or UTF-8, or an integer too long to read
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("pipeline config must be a JSON object")
@@ -199,6 +199,9 @@ def load_pipeline_config(path: str) -> PipelineConfig:
     for req in ("rules", "relnet_weights"):
         if req not in doc:
             raise ConfigError(f"pipeline config missing required key {req!r}")
+    if not (isinstance(doc["rules"], str) and isinstance(doc["relnet_weights"], str)
+            and isinstance(doc.get("rule_params"), (str, type(None)))):
+        raise ConfigError("pipeline config paths must be strings (rule_params may be null)")
     try:
         return PipelineConfig(
             rules_path=resolve(doc["rules"]),
@@ -207,7 +210,7 @@ def load_pipeline_config(path: str) -> PipelineConfig:
             threshold=float(doc.get("threshold", 0.5)),
             iou_grid=tuple(doc.get("iou_grid", DEFAULT_IOU_GRID)),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad pipeline config value: {e}") from None
 
 

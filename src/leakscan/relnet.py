@@ -13,7 +13,10 @@ for each of the four 2x2 pool phases, the phase maps are folded with an
 elementwise max, and ReLU is applied to the pooled map.  This equals
 conv -> ReLU -> max-pool without building the full-resolution conv output.
 Each pooled gradient goes to the first phase in row-major window order that
-attains the max, so ties go to the first phase.
+attains the max, so ties go to the first phase, and to no phase where ReLU
+is inactive.  The forward pass records that phase, or none, per pooled
+cell, and the backward pass scatters the gradient there in one pass, as
+Caffe's max-pooling layer does with its recorded argmax.
 
 conv1 reads a one-channel raster with only three levels (0, 0.5, 1), and
 each of its pooled cells depends only on one 4x4 window of the padded
@@ -324,6 +327,9 @@ def _pair_sample(subject, reference, sub, ref, img_w, img_h, label=None):
 # ---------------------------------------------------------------------------
 
 _POOL_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))  # (di, dj), row-major
+# Phase number 2*di + dj at axes di and dj of a (batch, i, di, j, dj, f) view.
+_PHASE_GRID = np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)
+_NO_PHASE = 4  # recorded where ReLU is inactive: no phase gets the gradient
 
 
 def _im2col(xp, kh, kw, stride, oh, ow, r0=0, c0=0):
@@ -343,8 +349,9 @@ def _phase_max_relu(rows, phase_cols, w_mat, b, record):
 
     ``phase_cols`` yields the (rows, K) im2col matrix of each phase (di, dj)
     in row-major order; a generator keeps only one of them alive at a time.
-    With record=True also returns the first phase attaining each max
-    (strict >, so ties go to the earlier phase), else None.
+    With record=True also returns, per cell, the first phase attaining the
+    max (strict >, so ties go to the earlier phase), or _NO_PHASE where the
+    ReLU output is not positive; else None.
     """
     pooled = np.empty((rows, w_mat.shape[1]))
     phase_out = np.empty_like(pooled)
@@ -360,6 +367,8 @@ def _phase_max_relu(rows, phase_cols, w_mat, b, record):
                 np.maximum(idx, (phase_out > pooled) * np.uint8(phase), out=idx)
             np.maximum(pooled, phase_out, out=pooled)
     np.maximum(pooled, 0.0, out=pooled)
+    if record:
+        idx[~(pooled > 0)] = _NO_PHASE
     return pooled, idx
 
 
@@ -373,8 +382,8 @@ def _conv_pool_forward(x, w, b, stride, pad, record=False):
     gets in the full-resolution GEMM.  BLAS may pick another kernel for the
     smaller row count, which can move a last bit for some shapes; the tests
     compare against the full-resolution layer with exact arithmetic and at
-    the paper-size net.  With record=True the cache keeps the first phase
-    attaining each max for _conv_pool_backward.
+    the paper-size net.  With record=True the cache keeps the phase that
+    receives each pooled gradient for _conv_pool_backward.
     """
     batch, h, wd, _ = x.shape
     kh, kw, cin, filters = w.shape
@@ -391,7 +400,7 @@ def _conv_pool_forward(x, w, b, stride, pad, record=False):
     pooled = pooled.reshape(batch, ph, pw, filters)
     if record:
         idx = idx.reshape(pooled.shape)
-    return pooled, (xp, pooled, idx, stride, pad)
+    return pooled, (xp, idx, stride, pad)
 
 
 def _conv1_pool_forward(x, w, b, record=False):
@@ -428,27 +437,26 @@ def _conv1_pool_forward(x, w, b, record=False):
     table, table_idx = _phase_max_relu(len(first), phase_cols, w.reshape(9, filters), b, record)
     pooled = table[inverse].reshape(batch, ph, pw, filters)
     idx = table_idx[inverse].reshape(pooled.shape) if record else None
-    return pooled, (xp, pooled, idx, 1, 1)
+    return pooled, (xp, idx, 1, 1)
 
 
 def _conv_pool_backward(dy, w, cache, need_dx):
     """Gradients of _conv_pool_forward(record=True); dx is None unless asked.
 
-    The pooled gradient, masked where ReLU was inactive, goes to the
-    recorded phase of a zeroed full-resolution map, which meets the
-    full-resolution im2col rows in one GEMM.
+    One pass scatters each pooled gradient into the full-resolution map
+    viewed as (batch, i, di, j, dj, f): it lands at the recorded phase
+    2*di + dj and every other entry is 0, with none at all where ReLU was
+    inactive.  That map meets the full-resolution im2col rows in one GEMM.
+    Adding 0.0 first turns a -0.0 gradient into +0.0, the sign of every
+    other zero in the map.
     """
-    xp, pooled, idx, stride, pad = cache
+    xp, idx, stride, pad = cache
     batch, ph, pw, filters = dy.shape
     kh, kw, cin, _ = w.shape
     oh, ow = 2 * ph, 2 * pw
-    dm = dy * (pooled > 0)
-    dfull = np.empty((batch, ph, 2, pw, 2, filters))
-    for phase in range(4):
-        di, dj = divmod(phase, 2)
-        # Multiplying by the mask is much faster than a masked copy; adding
-        # 0.0 turns the -0.0 it leaves into the +0.0 of a zero fill.
-        np.add(dm * (idx == phase), 0.0, out=dfull[:, :, di, :, dj, :])
+    dfull = np.where(
+        idx[:, :, None, :, None, :] == _PHASE_GRID, (dy + 0.0)[:, :, None, :, None, :], 0.0
+    )
     dy_mat = dfull.reshape(batch * oh * ow, filters)
     cols = _im2col(xp, kh, kw, stride, oh, ow)
     dw = (cols.T @ dy_mat).reshape(w.shape)

@@ -190,6 +190,17 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise DataError(f"{path}: {msg}")
 
 
+def _is_coordinate(v) -> bool:
+    """A JSON number that is a finite float: not a bool, a string, NaN, an
+    infinity (1e999 parses as one) or an integer too large for a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _parse_object(data, path: str) -> DetectedObject:
     _expect(isinstance(data, dict), path, "expected an object record")
     for key in ("id", "class", "score", "bbox", "polygon"):
@@ -208,13 +219,8 @@ def _parse_object(data, path: str) -> DetectedObject:
     )
     _expect(0.0 <= score <= 1.0, f"{path}.score", "confidence out of range")
     bbox = data["bbox"]
-    _expect(
-        isinstance(bbox, list)
-        and len(bbox) == 4
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in bbox),
-        f"{path}.bbox",
-        "expected [x1, y1, x2, y2]",
-    )
+    _expect(isinstance(bbox, list) and len(bbox) == 4, f"{path}.bbox", "expected [x1, y1, x2, y2]")
+    _expect(all(map(_is_coordinate, bbox)), f"{path}.bbox", "coordinates must be finite numbers")
     try:
         box = BBox(*(float(v) for v in bbox))
     except DataError as e:
@@ -223,13 +229,11 @@ def _parse_object(data, path: str) -> DetectedObject:
     _expect(isinstance(poly, list), f"{path}.polygon", "expected a list of points")
     verts = []
     for j, pt in enumerate(poly):
-        _expect(
-            isinstance(pt, list)
-            and len(pt) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pt),
-            f"{path}.polygon[{j}]",
-            "expected [x, y]",
-        )
+        # One test on the common path: this loop runs for every vertex.
+        if not (isinstance(pt, list) and len(pt) == 2 and all(map(_is_coordinate, pt))):
+            shaped = isinstance(pt, list) and len(pt) == 2
+            msg = "coordinates must be finite numbers" if shaped else "expected [x, y]"
+            raise DataError(f"{path}.polygon[{j}]: {msg}")
         verts.append((float(pt[0]), float(pt[1])))
     try:
         polygon = PolygonMask(tuple(verts))
@@ -255,13 +259,13 @@ def parse_scene_json(text: str) -> Scene:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer literal too long to convert
         raise DataError(f"malformed JSON: {e}") from None
     _expect(isinstance(data, dict), "$", "expected a JSON object")
     for key in ("width", "height", "objects"):
         _expect(key in data, "$", f"missing field {key!r}")
     _expect(
-        isinstance(data["width"], int) and isinstance(data["height"], int),
+        all(isinstance(data[k], int) and _is_coordinate(data[k]) for k in ("width", "height")),
         "$.width/height",
         "expected integers",
     )

@@ -451,6 +451,6 @@ def read_pairs_jsonl(path: str) -> list[LabeledPair]:
                         reference_id=int(doc["reference"]),
                     )
                 )
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as e:
+            except (KeyError, ValueError, TypeError, OverflowError) as e:
                 raise DataError(f"{path}:{line_no}: bad pair record: {e}") from None
     return pairs

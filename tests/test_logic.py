@@ -3,11 +3,13 @@
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from leakscan import logic
 from leakscan.errors import ConfigError, DataError
 from leakscan.logic import (
     Atom,
@@ -15,6 +17,7 @@ from leakscan.logic import (
     RuleAST,
     RuleParams,
     RuleTrainConfig,
+    RuleTrainStats,
     evaluate_rule,
     evaluate_rules,
     fuzzy_and,
@@ -530,6 +533,118 @@ def test_ruleset_gradients_match_finite_differences():
     assert worst < 1e-5
 
 
+def _per_scene_loss_and_grad(vecs, groundings, labels, seen=None):
+    """Reference rule-fit step, one scene and one rule at a time.
+
+    groundings[i][r] is ground_rule's matrix for rule r in scene i.  When
+    given, seen counts the cases the step must get right.
+    """
+    n_scenes = len(labels)
+    grads = [np.zeros_like(v) for v in vecs]
+    loss = 0.0
+    correct = 0
+    for scene_i, label in enumerate(labels):
+        scores = np.zeros(len(vecs))
+        winners: list[int | None] = []
+        zs: list[float] = []
+        for r, x in enumerate(groundings[scene_i]):
+            if x.shape[0] == 0:
+                winners.append(None)
+                zs.append(0.0)
+                continue
+            z = x @ vecs[r][:-1] + vecs[r][-1]
+            y = np.clip(z, 0.0, 1.0)
+            i = int(np.argmax(y))
+            scores[r] = float(y[i])
+            winners.append(i)
+            zs.append(float(z[i]))
+            if seen is not None:
+                seen["tied bindings"] += len(np.unique(x[y == y[i]], axis=0)) > 1
+                seen["z < 0"] += zs[-1] < 0.0
+        best = int(np.argmax(scores))
+        p = float(scores[best])
+        p_hat = min(max(p, 1e-7), 1.0 - 1e-7)
+        y_true = 1.0 if label else 0.0
+        loss += -(y_true * math.log(p_hat) + (1.0 - y_true) * math.log(1.0 - p_hat))
+        correct += int((p >= 0.5) == bool(label))
+        if seen is not None:
+            seen["no binding"] += all(w is None for w in winners)
+            seen["p at clip"] += p in (1e-7, 1.0 - 1e-7)
+            seen["z > 1"] += winners[best] is not None and zs[best] > 1.0
+        if 1e-7 <= p <= 1.0 - 1e-7 and winners[best] is not None:
+            g = (-y_true / p + (1.0 - y_true) / (1.0 - p)) / n_scenes
+            if 0.0 <= zs[best] <= 1.0:
+                x_best = groundings[scene_i][best][winners[best]]
+                grads[best][:-1] += g * x_best
+                grads[best][-1] += g
+    return loss / n_scenes, grads, correct / n_scenes
+
+
+def _fit_cases(rng):
+    """(rules, scenes, factory, param vectors) covering the step's edge cases."""
+    rules = [ast for ast, _ in parse_rules("\n".join(GROUNDING_RULES) + RULES_TEXT)]
+    # A duplicate rule ties with its original in every scene.
+    rules.append(rules[0])
+    factories = {"tie": lambda s: tie_probs, "hash": hash_factory}
+    for trial in range(36):
+        n_scenes = (1, 7, 60)[trial % 3]
+        scenes = []
+        for _ in range(n_scenes):
+            scene = random_scene(rng, max_objects=int(rng.integers(0, 7)))
+            objs = [
+                replace(o, confidence=float(rng.choice([0.25, 0.5, 0.75, 1.0])))
+                for o in scene.objects
+            ]
+            scenes.append(make_scene(objs, leak=bool(rng.integers(0, 2))))
+        kind = ("dyadic", "wide", "clip low", "clip high")[trial % 4]
+        vecs = []
+        for rule in rules:
+            n = len(rule.body) + 1
+            if kind == "dyadic":  # exact scores, so equal scores are real ties
+                v = rng.integers(-4, 9, n) / 8.0
+            elif kind == "wide":  # scores far below 0 and above 1
+                v = rng.normal(0.0, 2.0, n)
+            else:  # every binding scores exactly at the cross-entropy clip
+                v = np.zeros(n)
+                v[-1] = 1e-7 if kind == "clip low" else 1.0 - 1e-7
+            vecs.append(v)
+        yield rules, scenes, factories[("tie", "hash")[trial % 2]], vecs
+
+
+def test_rule_fit_step_matches_per_scene_reference():
+    """The whole-corpus fit step equals the per-scene loop bit for bit:
+    loss, gradients and accuracy at every step, and trained parameters and
+    history after many steps."""
+    rng = np.random.default_rng(44)
+    seen = {k: 0 for k in ("tied bindings", "no binding", "p at clip", "z < 0", "z > 1")}
+    trained = 0
+    for rules, scenes, factory, vecs in _fit_cases(rng):
+        labels = [s.leak_label for s in scenes]
+        groundings = [[ground_rule(r, s, factory(s))[0] for r in rules] for s in scenes]
+        stacked = logic._ground_corpus(rules, scenes, factory)
+        want = _per_scene_loss_and_grad(vecs, groundings, labels, seen)
+        got = logic._fit_step(stacked, vecs, labels)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert [g.tobytes() for g in got[1]] == [g.tobytes() for g in want[1]]
+        if len(set(labels)) < 2:
+            continue
+        init = [RuleParams.from_vector(v) for v in vecs]
+        cfg = RuleTrainConfig(lr=0.5, steps=40)
+        params, history = train_rule_params(rules, scenes, factory, cfg, init=init)
+        ref_vecs = [v.copy() for v in vecs]
+        ref_history = []
+        for step in range(cfg.steps):
+            loss, grads, acc = _per_scene_loss_and_grad(ref_vecs, groundings, labels)
+            for v, g in zip(ref_vecs, grads):
+                v -= cfg.lr * g
+            ref_history.append(RuleTrainStats(step=step, loss=loss, train_acc=acc))
+        assert history == ref_history
+        assert params == [RuleParams.from_vector(v) for v in ref_vecs]
+        trained += 1
+    assert trained >= 20
+    assert min(seen.values()) > 10, seen  # every edge case is exercised
+
+
 def test_training_converges_on_separable_corpus():
     rules = [ast for ast, _ in parse_rules(RULES_TEXT)]
     scenes = gen_scenes(GenConfig(seed=40), 60)
@@ -599,6 +714,28 @@ def test_rule_params_file_round_trip(tmp_path):
     assert load_rule_params(path) == params
 
 
+def test_rule_params_file_fuzz_raises_only_located_errors(tmp_path, text_mutator):
+    """Corrupted rule parameter files load to parameters that save and load
+    back unchanged, or raise DataError or ConfigError."""
+    path = tmp_path / "params.json"
+    save_rule_params(init_rule_params([ast for ast, _ in parse_rules(RULES_TEXT)], 3), str(path))
+    text = path.read_text(encoding="utf-8")
+    again = str(tmp_path / "again.json")
+    rng = np.random.default_rng(17)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for _ in range(1200):
+        path.write_text(text_mutator(rng, text), encoding="utf-8")
+        try:
+            params = load_rule_params(str(path))
+        except (DataError, ConfigError):
+            outcomes["rejected"] += 1
+            continue
+        save_rule_params(params, again)
+        assert load_rule_params(again) == params
+        outcomes["loaded"] += 1
+    assert min(outcomes.values()) > 50, outcomes  # both outcomes are exercised
+
+
 def test_rule_params_file_errors(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{oops")
@@ -612,4 +749,25 @@ def test_rule_params_file_errors(tmp_path):
         load_rule_params(str(p))
     p.write_text(json.dumps([1, 2]))
     with pytest.raises(DataError, match="JSON object"):
+        load_rule_params(str(p))
+    good = {"weights": [0.5, 0.25], "bias": 0.1}
+    for entry, message in (
+        ({"weights": "12", "bias": 0.1}, "weights must be a list of numbers"),
+        ({"weights": [True, 0.5], "bias": 0.1}, "weights must be a list of numbers"),
+        ({"weights": ["0.5"], "bias": 0.1}, "weights must be a list of numbers"),
+        ({"weights": [0.5], "bias": "0.1"}, "bias must be a number"),
+        ({"weights": [0.5], "bias": False}, "bias must be a number"),
+        ({"weights": [0.5], "bias": None}, "bias must be a number"),
+        ({"weights": [], "bias": 0.1}, "RuleParams needs at least one weight"),
+        ([0.5, 0.1], "expected an object with weights and bias"),
+    ):
+        p.write_text(json.dumps({"0": good, "1": entry}))
+        with pytest.raises(DataError, match=re.escape(f"{p}: rule 1: bad parameter entry: {message}")):
+            load_rule_params(str(p))
+    for text in ("NaN", "1e999", "-Infinity", "1" + "0" * 400):
+        p.write_text('{"0": {"weights": [0.5, %s], "bias": 0.1}}' % text)
+        with pytest.raises(DataError, match="rule 0: bad parameter entry"):
+            load_rule_params(str(p))
+    p.write_text('{"0": {"weights": [1%s], "bias": 0.1}}' % ("0" * 5000))
+    with pytest.raises(DataError, match="corrupt"):
         load_rule_params(str(p))

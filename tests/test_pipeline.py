@@ -292,6 +292,45 @@ def test_load_pipeline_config_errors(tmp_path):
     p.write_text(json.dumps([1]))
     with pytest.raises(ConfigError, match="JSON object"):
         load_pipeline_config(str(p))
+    for doc in ({"rules": None, "relnet_weights": "w"}, {"rules": "r", "relnet_weights": ["w"]},
+                {"rules": "r", "relnet_weights": "w", "rule_params": 3}):
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="paths must be strings"):
+            load_pipeline_config(str(p))
+    p.write_text('{"rules": "r", "relnet_weights": "w", "threshold": 1%s}' % ("0" * 400))
+    with pytest.raises(ConfigError, match="bad pipeline config value"):
+        load_pipeline_config(str(p))
+    p.write_text('{"rules": "r", "relnet_weights": "w", "threshold": 1%s}' % ("0" * 5000))
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_pipeline_config(str(p))
+
+
+def test_load_pipeline_config_fuzz_raises_only_located_errors(tmp_path, text_mutator):
+    """Corrupted config files load to a config that writes and loads back
+    unchanged, or raise DataError or ConfigError."""
+    path = tmp_path / "pipeline.json"
+    doc = {
+        "rules": "models/rules.txt",
+        "relnet_weights": "/abs/net.npz",
+        "rule_params": "params.json",
+        "threshold": 0.7,
+        "iou_grid": [0.5, 0.75],
+    }
+    text = json.dumps(doc, indent=2)
+    again = tmp_path / "again.json"
+    rng = np.random.default_rng(18)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for _ in range(1200):
+        path.write_text(text_mutator(rng, text), encoding="utf-8")
+        try:
+            cfg = load_pipeline_config(str(path))
+        except (DataError, ConfigError):
+            outcomes["rejected"] += 1
+            continue
+        again.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        assert load_pipeline_config(str(again)) == cfg
+        outcomes["loaded"] += 1
+    assert min(outcomes.values()) > 50, outcomes  # both outcomes are exercised
 
 
 def test_load_pipeline_happy_paths(tmp_path):

@@ -461,16 +461,15 @@ def test_conv1_table_matches_conv_pool_bit_for_bit(config):
             got, got_cache = relnet._conv1_pool_forward(x, w, b, record=record)
             assert np.array_equal(got, want), (batch, record)
             assert np.array_equal(got_cache[0], want_cache[0])
-            assert got_cache[1] is got
             if record:
-                assert got_cache[2].dtype == np.uint8
-                assert np.array_equal(got_cache[2], want_cache[2]), batch
+                assert got_cache[1].dtype == np.uint8
+                assert np.array_equal(got_cache[1], want_cache[1]), batch
             else:
-                assert got_cache[2] is None
-            assert got_cache[3:] == want_cache[3:] == (1, 1)
-    # The recorded phases take every value and the pooled map both sides of
-    # the ReLU.
-    assert set(np.unique(got_cache[2])) == {0, 1, 2, 3}
+                assert got_cache[1] is None
+            assert got_cache[2:] == want_cache[2:] == (1, 1)
+    # The recorded phases take every value, "no phase" (ReLU inactive)
+    # included, and the pooled map lies on both sides of the ReLU.
+    assert set(np.unique(got_cache[1])) == {0, 1, 2, 3, relnet._NO_PHASE}
     assert (got == 0).any() and (got > 0).any()
 
 

@@ -230,6 +230,44 @@ def test_scene_json_optional_fields_default():
             ' "score": 0.5, "bbox": [0, 0, 5, 5], "polygon": [[0, 0], [5], [5, 5]]}]}',
             r"\$.objects\[0\].polygon\[1\]: expected \[x, y\]",
         ),
+        # 1e999 parses as inf, and a bbox reaching to infinity contains any polygon.
+        pytest.param(
+            '{"width": 10, "height": 10, "objects": [{"id": 0, "class": "ground",'
+            ' "score": 0.5, "bbox": [0, 0, 1e999, 5],'
+            ' "polygon": [[0, 0], [5, 0], [5, 5]]}]}',
+            r"\$.objects\[0\].bbox: coordinates must be finite numbers",
+            id="bbox-inf",
+        ),
+        pytest.param(
+            '{"width": 10, "height": 10, "objects": [{"id": 0, "class": "ground",'
+            ' "score": 0.5, "bbox": [-Infinity, 0, 5, 5],'
+            ' "polygon": [[0, 0], [5, 0], [5, 5]]}]}',
+            r"\$.objects\[0\].bbox: coordinates must be finite numbers",
+            id="bbox-minus-inf",
+        ),
+        pytest.param(
+            '{"width": 10, "height": 10, "objects": [{"id": 0, "class": "ground",'
+            ' "score": 0.5, "bbox": [0, 0, 5, 5],'
+            ' "polygon": [[0, 0], [5, NaN], [5, 5]]}]}',
+            r"\$.objects\[0\].polygon\[1\]: coordinates must be finite numbers",
+            id="polygon-nan",
+        ),
+        pytest.param(
+            '{"width": 10, "height": 10, "objects": [{"id": 0, "class": "ground",'
+            ' "score": 0.5, "bbox": [0, 0, 5, 5],'
+            ' "polygon": [[0, 0], [5, 0], [1' + "0" * 400 + ', 5]]}]}',
+            r"\$.objects\[0\].polygon\[2\]: coordinates must be finite numbers",
+            id="polygon-int-beyond-float",
+        ),
+        pytest.param(
+            '{"width": 1' + "0" * 400 + ', "height": 4, "objects": []}', r"\$.width",
+            id="width-beyond-float",
+        ),
+        pytest.param('{"width": true, "height": 4, "objects": []}', r"\$.width", id="width-bool"),
+        pytest.param(
+            '{"width": 1' + "0" * 5000 + ', "height": 4, "objects": []}', "malformed JSON",
+            id="width-too-many-digits",
+        ),
     ],
 )
 def test_scene_json_error_paths(text, path):

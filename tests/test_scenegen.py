@@ -1,13 +1,14 @@
 """Tests for the synthetic scene generator and pair-dataset harvesting."""
 
 import collections
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from leakscan.errors import ConfigError, DataError
 from leakscan.relnet import RelationLabel, make_pair_sample
-from leakscan.scene import BBox, ClassLabel, DetectedObject, PolygonMask
+from leakscan.scene import BBox, ClassLabel, DetectedObject, MaskRaster, PolygonMask
 from leakscan.scenegen import (
     GenConfig,
     gen_pair_dataset,
@@ -267,8 +268,48 @@ def test_pairs_jsonl_round_trip(tmp_path):
     assert again == pairs
 
 
+def test_pairs_jsonl_fuzz_raises_only_located_errors(tmp_path, text_mutator):
+    """Corrupted pair files read to pairs that write and read back
+    unchanged, or raise DataError or ConfigError."""
+    path = tmp_path / "pairs.jsonl"
+    # 8x8 crops of the rasters, so that a mutation lands in the other fields
+    # about as often as in the raster.
+    pairs = [
+        replace(p, sample=replace(p.sample, raster=MaskRaster(8, 8, p.sample.raster.values[10:18, 10:18])))
+        for p in gen_pair_dataset(GenConfig(seed=13), 3)
+    ]
+    write_pairs_jsonl(pairs, str(path))
+    text = path.read_text(encoding="utf-8")
+    again = tmp_path / "again.jsonl"
+    rng = np.random.default_rng(16)
+    outcomes = {"read": 0, "rejected": 0}
+    for _ in range(1200):
+        path.write_text(text_mutator(rng, text), encoding="utf-8")
+        try:
+            pairs = read_pairs_jsonl(str(path))
+        except (DataError, ConfigError):
+            outcomes["rejected"] += 1
+            continue
+        write_pairs_jsonl(pairs, str(again))
+        assert read_pairs_jsonl(str(again)) == pairs
+        outcomes["read"] += 1
+    assert min(outcomes.values()) > 50, outcomes  # both outcomes are exercised
+
+
 def test_pairs_jsonl_bad_line_reports_location(tmp_path):
     path = tmp_path / "pairs.jsonl"
     path.write_text('{"scene": "0:0"}\n')
     with pytest.raises(DataError, match=r"pairs.jsonl:1"):
         read_pairs_jsonl(str(path))
+    write_pairs_jsonl(gen_pair_dataset(GenConfig(seed=12), 2), str(path))
+    first, second = path.read_text().splitlines()
+    # Numbers no float or int can hold: 1e999 reads as inf, then a grid or an
+    # object id cannot convert it; a 400-digit integer overflows a float.
+    for bad in (
+        second.replace('"grid": 28', '"grid": 1e999'),
+        second.replace('"subject": ', '"subject": 1e999, "x": '),
+        second.replace('"raster": [', '"raster": [1' + "0" * 400 + ", ", 1),
+    ):
+        path.write_text(first + "\n" + bad + "\n")
+        with pytest.raises(DataError, match=r"pairs.jsonl:2: bad pair record"):
+            read_pairs_jsonl(str(path))
