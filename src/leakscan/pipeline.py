@@ -175,7 +175,11 @@ def config_hash(cfg: PipelineConfig) -> str:
 
 
 def load_pipeline_config(path: str) -> PipelineConfig:
-    """Read a pipeline config JSON; relative paths resolve against the file."""
+    """Read a pipeline config JSON; relative paths resolve against the file.
+
+    ``threshold`` and the ``iou_grid`` entries must be JSON numbers, not
+    strings or booleans; a bad value raises a ConfigError naming its key
+    and, in ``iou_grid``, its index."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -202,16 +206,30 @@ def load_pipeline_config(path: str) -> PipelineConfig:
     if not (isinstance(doc["rules"], str) and isinstance(doc["relnet_weights"], str)
             and isinstance(doc.get("rule_params"), (str, type(None)))):
         raise ConfigError("pipeline config paths must be strings (rule_params may be null)")
-    try:
-        return PipelineConfig(
-            rules_path=resolve(doc["rules"]),
-            relnet_weights_path=resolve(doc["relnet_weights"]),
-            rule_params_path=resolve(doc.get("rule_params")),
-            threshold=float(doc.get("threshold", 0.5)),
-            iou_grid=tuple(doc.get("iou_grid", DEFAULT_IOU_GRID)),
+
+    def number(v, where):
+        # JSON numbers only: a string or a boolean is not read as one.
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(
+                f"bad pipeline config value at {where}: expected a number, got {v!r:.40}"
+            )
+        try:
+            return float(v)
+        except OverflowError as e:  # an integer beyond the float range
+            raise ConfigError(f"bad pipeline config value at {where}: {e}") from None
+
+    grid = doc.get("iou_grid", list(DEFAULT_IOU_GRID))
+    if not isinstance(grid, list):
+        raise ConfigError(
+            f"bad pipeline config value at iou_grid: expected a list, got {grid!r:.40}"
         )
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"bad pipeline config value: {e}") from None
+    return PipelineConfig(
+        rules_path=resolve(doc["rules"]),
+        relnet_weights_path=resolve(doc["relnet_weights"]),
+        rule_params_path=resolve(doc.get("rule_params")),
+        threshold=number(doc.get("threshold", 0.5), "threshold"),
+        iou_grid=tuple(number(v, f"iou_grid[{i}]") for i, v in enumerate(grid)),
+    )
 
 
 @dataclass

@@ -29,6 +29,19 @@ function of its window alone; bias, max, ReLU and the recorded phase are
 elementwise on those values.  Pair samples only admit three-level rasters,
 which is what makes the table safe.
 
+conv2 extends the table one layer up.  Each conv1 cell is a row of conv1's
+table, so each conv2 im2col row, a 3x3 window of conv1 cells, is named by
+the nine table indices it reads.  Rows with equal indices hold equal
+inputs; the layer keys the rows of all four pool phases by those indices,
+runs one GEMM over the distinct rows only (in fixed chunks, so the working
+set stays small) and gathers each phase map from the result.  Background
+margins and polygon interiors repeat across the pairs of a batch, so on
+scene rasters about half of the rows are repeats.  This is exact for the
+same reason: the GEMM gives a row the same value whatever its row-mates,
+as long as it has at least one (BLAS hands a one-row product to a
+matrix-vector kernel that sums in another order), and the tests check both
+tables bit for bit against the per-phase layer at the network's sizes.
+
 Everything is plain numpy with hand-written backpropagation; gradients are
 verified against central finite differences in the tests.  All computation
 is float64 and deterministic: fixed seeds reproduce bit-identical parameters
@@ -332,34 +345,33 @@ _PHASE_GRID = np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)
 _NO_PHASE = 4  # recorded where ReLU is inactive: no phase gets the gradient
 
 
-def _im2col(xp, kh, kw, stride, oh, ow, r0=0, c0=0):
-    """im2col rows for output positions (r0 + i*stride, c0 + j*stride)."""
+def _im2col(xp, kh, kw, stride, oh, ow):
+    """im2col rows for output positions (i*stride, j*stride)."""
     batch, _, _, cin = xp.shape
     s0, s1, s2, s3 = xp.strides
     win = np.lib.stride_tricks.as_strided(
-        xp[:, r0:, c0:, :],
+        xp,
         shape=(batch, oh, ow, kh, kw, cin),
         strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
     )
     return win.reshape(batch * oh * ow, kh * kw * cin)
 
 
-def _phase_max_relu(rows, phase_cols, w_mat, b, record):
-    """ReLU of the max over the four pool phases of ``cols @ w_mat + b``.
+def _phase_max_relu(rows, filters, fill_phase, record):
+    """ReLU of the max over the four pool phases of the conv output.
 
-    ``phase_cols`` yields the (rows, K) im2col matrix of each phase (di, dj)
-    in row-major order; a generator keeps only one of them alive at a time.
-    With record=True also returns, per cell, the first phase attaining the
-    max (strict >, so ties go to the earlier phase), or _NO_PHASE where the
-    ReLU output is not positive; else None.
+    ``fill_phase(phase, out)`` writes the (rows, filters) map of phase
+    (di, dj) = _POOL_PHASES[phase], bias included, into ``out``; one buffer
+    serves phases 1 to 3.  With record=True also returns, per cell, the
+    first phase attaining the max (strict >, so ties go to the earlier
+    phase), or _NO_PHASE where the ReLU output is not positive; else None.
     """
-    pooled = np.empty((rows, w_mat.shape[1]))
+    pooled = np.empty((rows, filters))
     phase_out = np.empty_like(pooled)
     idx = np.zeros(pooled.shape, dtype=np.uint8) if record else None
-    for phase, cols in enumerate(phase_cols):
+    for phase in range(len(_POOL_PHASES)):
         out = pooled if phase == 0 else phase_out
-        np.matmul(cols, w_mat, out=out)
-        out += b
+        fill_phase(phase, out)
         if phase:
             if record:
                 # idx < phase here, so this sets idx to phase exactly where
@@ -372,47 +384,37 @@ def _phase_max_relu(rows, phase_cols, w_mat, b, record):
     return pooled, idx
 
 
-def _conv_pool_forward(x, w, b, stride, pad, record=False):
-    """3x3 conv -> 2x2 stride-2 max-pool -> ReLU, one GEMM per pool phase.
+def _distinct_rows(keys):
+    """``(first, inverse)`` of the distinct rows of ``keys``, an int64
+    (rows, k) array of values in [0, 2**31): ``keys[first]`` are the
+    distinct rows, once each, and ``keys[first][inverse]`` is ``keys``.
 
-    Phase (di, dj) holds the conv outputs at rows 2i+di and columns 2j+dj,
-    so the pool is an elementwise max over the four phase maps.  Adding the
-    bias rounds monotonically and ReLU commutes with max, so the result is
-    pool(relu(conv)) exactly, provided the GEMM gives each row the value it
-    gets in the full-resolution GEMM.  BLAS may pick another kernel for the
-    smaller row count, which can move a last bit for some shapes; the tests
-    compare against the full-resolution layer with exact arithmetic and at
-    the paper-size net.  With record=True the cache keeps the phase that
-    receives each pooled gradient for _conv_pool_backward.
+    Columns are merged two at a time, ``rank * (col.max() + 1) + col``, and
+    the merged key is re-ranked after each step, so a key stays below
+    max(2**62, rows * 2**31) whatever the number of columns.
     """
-    batch, h, wd, _ = x.shape
-    kh, kw, cin, filters = w.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
-    ph = ((h + 2 * pad - kh) // stride + 1) // 2
-    pw = ((wd + 2 * pad - kw) // stride + 1) // 2
-    phase_cols = (
-        _im2col(xp, kh, kw, 2 * stride, ph, pw, di * stride, dj * stride)
-        for di, dj in _POOL_PHASES
-    )
-    pooled, idx = _phase_max_relu(
-        batch * ph * pw, phase_cols, w.reshape(kh * kw * cin, filters), b, record
-    )
-    pooled = pooled.reshape(batch, ph, pw, filters)
-    if record:
-        idx = idx.reshape(pooled.shape)
-    return pooled, (xp, idx, stride, pad)
+    rank = keys[:, 0]
+    for k in range(1, keys.shape[1]):
+        col = keys[:, k]
+        rank = rank * (int(col.max()) + 1) + col
+        if k < keys.shape[1] - 1:
+            rank = np.unique(rank, return_inverse=True)[1]
+    _, first, inverse = np.unique(rank, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def _conv1_pool_forward(x, w, b, record=False):
-    """``_conv_pool_forward(x, w, b, 1, 1, record)`` for three-level rasters,
-    evaluated once per distinct input window.
+    """conv1 -> pool -> ReLU (3x3, stride 1, same padding) for three-level
+    rasters, evaluated once per distinct input window.
 
     Pooled cell (i, j) reads only the 4x4 window of the padded raster at
     rows 2i..2i+3 and columns 2j..2j+3.  Every window is coded in base 3
     (16 digits of 2x), the per-phase layer runs on one representative of
     each distinct code, and one gather spreads the rows, and the recorded
-    phases, back over all cells.  The cache is the one _conv_pool_forward
-    builds, so _conv_pool_backward applies unchanged.
+    phases, back over all cells.  Returns the pooled map, the cache
+    ``(xp, idx, 1, 1)`` that _conv_pool_backward reads, and each cell's
+    table index, an int64 (batch, h/2, w/2) array of values below 3**16,
+    equal for two cells exactly when their windows are.
     """
     batch, h, wd, _ = x.shape
     filters = w.shape[-1]
@@ -431,17 +433,85 @@ def _conv1_pool_forward(x, w, b, record=False):
         xp, shape=(batch, ph, pw, 4, 4, 1), strides=(s0, 2 * s1, 2 * s2, s1, s2, s3)
     )
     rep = windows[np.unravel_index(first, (batch, ph, pw))]
-    phase_cols = (
-        rep[:, di : di + 3, dj : dj + 3].reshape(len(first), 9) for di, dj in _POOL_PHASES
-    )
-    table, table_idx = _phase_max_relu(len(first), phase_cols, w.reshape(9, filters), b, record)
+    w_mat = w.reshape(9, filters)
+
+    def fill_phase(phase, out):
+        di, dj = _POOL_PHASES[phase]
+        np.matmul(rep[:, di : di + 3, dj : dj + 3].reshape(len(first), 9), w_mat, out=out)
+        out += b
+
+    table, table_idx = _phase_max_relu(len(first), filters, fill_phase, record)
     pooled = table[inverse].reshape(batch, ph, pw, filters)
     idx = table_idx[inverse].reshape(pooled.shape) if record else None
-    return pooled, (xp, idx, 1, 1)
+    return pooled, (xp, idx, 1, 1), inverse.reshape(batch, ph, pw)
+
+
+_CONV2_CHUNK = 1024  # distinct im2col rows per conv2 GEMM
+
+
+def _conv2_pool_forward(x, cells, w, b, record=False):
+    """conv2 -> pool -> ReLU (3x3, stride 2, no padding), evaluated once per
+    distinct im2col row.
+
+    ``x`` is conv1's pooled map and ``cells`` its per-cell table index from
+    _conv1_pool_forward.  Pool phase (di, dj) puts conv output (2i + di,
+    2j + dj) at pooled cell (i, j); its im2col row is the 3x3 window of
+    ``x`` there, so it is named by the nine table indices of that window.
+    The rows of all four phases are keyed by those indices alone, the
+    distinct ones are gathered from ``x`` and multiplied in chunks of
+    _CONV2_CHUNK rows, and each phase map is a gather from that table.
+    No product has a single row: BLAS hands that to a matrix-vector kernel,
+    which sums in another order than the matrix kernel.
+    Returns the pooled map and the cache ``(x, idx, 2, 0)`` that
+    _conv_pool_backward reads.
+    """
+    batch, h, wd, cin = x.shape
+    filters = w.shape[-1]
+    ph, pw = ((h - 3) // 2 + 1) // 2, ((wd - 3) // 2 + 1) // 2
+    # keys[di, dj, n, i, j, ki, kj]: table index of x[n, 4i + 2di + ki, 4j + 2dj + kj].
+    c0, c1, c2 = cells.strides
+    keys = np.lib.stride_tricks.as_strided(
+        cells,
+        shape=(2, 2, batch, ph, pw, 3, 3),
+        strides=(2 * c1, 2 * c2, c0, 4 * c1, 4 * c2, c1, c2),
+    )
+    first, inverse = _distinct_rows(keys.reshape(-1, 9))
+    # A lone distinct row is multiplied twice: see the docstring.
+    first = np.resize(first, max(len(first), 2))
+    di, dj, n, i, j = np.unravel_index(first, (2, 2, batch, ph, pw))
+    rows, cols = 2 * i + di, 2 * j + dj
+    s0, s1, s2, s3 = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(batch, 2 * ph, 2 * pw, 3, 3, cin),
+        strides=(s0, 2 * s1, 2 * s2, s1, s2, s3),
+    )
+    w_mat = w.reshape(9 * cin, filters)
+    table = np.empty((len(first), filters))
+    # Near-equal chunks, so none has fewer than two rows.
+    n_chunks = -(-len(first) // _CONV2_CHUNK)
+    bounds = np.arange(n_chunks + 1) * len(first) // n_chunks
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        win = windows[n[lo:hi], rows[lo:hi], cols[lo:hi]]
+        np.matmul(win.reshape(hi - lo, 9 * cin), w_mat, out=table[lo:hi])
+    table += b
+    inverse = inverse.reshape(4, batch * ph * pw)
+    pooled, idx = _phase_max_relu(
+        batch * ph * pw,
+        filters,
+        lambda phase, out: np.take(table, inverse[phase], axis=0, out=out),
+        record,
+    )
+    pooled = pooled.reshape(batch, ph, pw, filters)
+    if record:
+        idx = idx.reshape(pooled.shape)
+    return pooled, (x, idx, 2, 0)
 
 
 def _conv_pool_backward(dy, w, cache, need_dx):
-    """Gradients of _conv_pool_forward(record=True); dx is None unless asked.
+    """Gradients of a conv -> pool -> ReLU layer from the cache ``(xp, idx,
+    stride, pad)`` its forward pass built with record=True: the padded
+    input and the recorded phases.  dx is None unless asked.
 
     One pass scatters each pooled gradient into the full-resolution map
     viewed as (batch, i, di, j, dj, f): it lands at the recorded phase
@@ -484,10 +554,8 @@ def _forward_batch(
     params: RelNetParams, rasters: np.ndarray, vecs: np.ndarray, record: bool = False
 ):
     t = params.tensors
-    m1, cache1 = _conv1_pool_forward(rasters, t["conv1_w"], t["conv1_b"], record=record)
-    m2, cache2 = _conv_pool_forward(
-        m1, t["conv2_w"], t["conv2_b"], stride=2, pad=0, record=record
-    )
+    m1, cache1, cells = _conv1_pool_forward(rasters, t["conv1_w"], t["conv1_b"], record=record)
+    m2, cache2 = _conv2_pool_forward(m1, cells, t["conv2_w"], t["conv2_b"], record=record)
     flat = m2.reshape(m2.shape[0], -1)
     z1 = vecs @ t["fc1_w"] + t["fc1_b"]
     v1 = np.maximum(z1, 0.0)

@@ -303,11 +303,33 @@ def test_load_pipeline_config_errors(tmp_path):
     p.write_text('{"rules": "r", "relnet_weights": "w", "threshold": 1%s}' % ("0" * 5000))
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_pipeline_config(str(p))
+    # Only JSON numbers are numbers: strings and booleans are rejected with
+    # the key and index, not converted.
+    for extra, where in (
+        ({"threshold": "0.5"}, "threshold"),
+        ({"threshold": True}, "threshold"),
+        ({"threshold": None}, "threshold"),
+        ({"iou_grid": [True]}, r"iou_grid\[0\]"),
+        ({"iou_grid": [0.5, "0.75"]}, r"iou_grid\[1\]"),
+        ({"iou_grid": [0.5, 0.75, False]}, r"iou_grid\[2\]"),
+        ({"iou_grid": "0.5"}, "iou_grid: expected a list"),
+        ({"iou_grid": 0.5}, "iou_grid: expected a list"),
+    ):
+        p.write_text(json.dumps({"rules": "r", "relnet_weights": "w", **extra}))
+        with pytest.raises(ConfigError, match="bad pipeline config value at " + where):
+            load_pipeline_config(str(p))
+    p.write_text('{"rules": "r", "relnet_weights": "w", "iou_grid": [0.5, 1%s]}' % ("0" * 400))
+    with pytest.raises(ConfigError, match=r"value at iou_grid\[1\]: int too large"):
+        load_pipeline_config(str(p))
+    p.write_text(json.dumps({"rules": "r", "relnet_weights": "w", "threshold": 1, "iou_grid": [1]}))
+    with pytest.raises(ConfigError, match="threshold must be in"):  # an int is a number
+        load_pipeline_config(str(p))
 
 
 def test_load_pipeline_config_fuzz_raises_only_located_errors(tmp_path, text_mutator):
     """Corrupted config files load to a config that writes and loads back
-    unchanged, or raise DataError or ConfigError."""
+    unchanged, or raise DataError or ConfigError; a string or a boolean in
+    place of a number is always rejected."""
     path = tmp_path / "pipeline.json"
     doc = {
         "rules": "models/rules.txt",
@@ -320,13 +342,31 @@ def test_load_pipeline_config_fuzz_raises_only_located_errors(tmp_path, text_mut
     again = tmp_path / "again.json"
     rng = np.random.default_rng(18)
     outcomes = {"loaded": 0, "rejected": 0}
-    for _ in range(1200):
-        path.write_text(text_mutator(rng, text), encoding="utf-8")
+    # Every fourth case puts a string or a boolean in place of the threshold,
+    # a grid entry or the whole grid, which must be rejected.
+    typed = ("0.7", "0.5", "", "1e999", True, False)
+    for i in range(1200):
+        retyped = i % 4 == 3
+        if retyped:
+            bad = typed[int(rng.integers(0, len(typed)))]
+            changed = dict(doc, iou_grid=list(doc["iou_grid"]))
+            target = int(rng.integers(0, 4))
+            if target == 0:
+                changed["threshold"] = bad
+            elif target == 3:
+                changed["iou_grid"] = bad
+            else:
+                changed["iou_grid"][target - 1] = bad
+            mutated = json.dumps(changed, indent=2)
+        else:
+            mutated = text_mutator(rng, text)
+        path.write_text(mutated, encoding="utf-8")
         try:
             cfg = load_pipeline_config(str(path))
         except (DataError, ConfigError):
             outcomes["rejected"] += 1
             continue
+        assert not retyped, mutated
         again.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
         assert load_pipeline_config(str(again)) == cfg
         outcomes["loaded"] += 1

@@ -352,6 +352,39 @@ def _ref_pool_backward(dy, cache):
     )
 
 
+def _conv_pool_forward(x, w, b, stride, pad, record=False):
+    """3x3 conv -> 2x2 stride-2 max-pool -> ReLU, one GEMM per pool phase:
+    the layer both conv tables are checked against.
+
+    Phase (di, dj) holds the conv outputs at rows 2i+di and columns 2j+dj,
+    so the pool is an elementwise max over the four phase maps.  Adding the
+    bias rounds monotonically and ReLU commutes with max, so the result is
+    pool(relu(conv)) exactly, provided the GEMM gives each row the value it
+    gets in the full-resolution GEMM.  BLAS may pick another kernel for the
+    smaller row count, which moves a last bit at some shapes (see the TINY
+    case of the conv2 table test).  With record=True the cache keeps the
+    phase that receives each pooled gradient for _conv_pool_backward.
+    """
+    batch, h, wd, _ = x.shape
+    kh, kw, cin, filters = w.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+    ph = ((h + 2 * pad - kh) // stride + 1) // 2
+    pw = ((wd + 2 * pad - kw) // stride + 1) // 2
+    w_mat = w.reshape(kh * kw * cin, filters)
+
+    def fill_phase(phase, out):
+        di, dj = relnet._POOL_PHASES[phase]
+        cols = relnet._im2col(xp[:, di * stride :, dj * stride :], kh, kw, 2 * stride, ph, pw)
+        np.matmul(cols, w_mat, out=out)
+        out += b
+
+    pooled, idx = relnet._phase_max_relu(batch * ph * pw, filters, fill_phase, record)
+    pooled = pooled.reshape(batch, ph, pw, filters)
+    if record:
+        idx = idx.reshape(pooled.shape)
+    return pooled, (xp, idx, stride, pad)
+
+
 def _ref_conv_pool_forward(x, w, b, stride, pad, record=False):
     """conv -> ReLU -> argmax pool at full resolution, as a drop-in layer."""
     c, conv_cache = _ref_conv_forward(x, w, b, stride, pad)
@@ -390,8 +423,8 @@ def test_conv_pool_matches_full_resolution_reference(stride, pad):
     for _ in range(3):
         x, w, b = _tie_heavy_case(rng, stride)
         ref, ref_cache = _ref_conv_pool_forward(x, w, b, stride, pad)
-        fused, _ = relnet._conv_pool_forward(x, w, b, stride, pad)
-        out, cache = relnet._conv_pool_forward(x, w, b, stride, pad, record=True)
+        fused, _ = _conv_pool_forward(x, w, b, stride, pad)
+        out, cache = _conv_pool_forward(x, w, b, stride, pad, record=True)
         assert np.array_equal(fused, ref)
         assert np.array_equal(out, ref)
         assert (ref == 0).any() and (ref > 0).any()
@@ -409,10 +442,13 @@ def test_loss_and_grad_matches_reference_at_paper_size(monkeypatch):
     params = init_params(config, seed=22)
     batch = synth_batch(rng, 6, config)
     loss, grads = loss_and_grad(params, batch)
-    monkeypatch.setattr(relnet, "_conv_pool_forward", _ref_conv_pool_forward)
     monkeypatch.setattr(
         relnet, "_conv1_pool_forward",
-        lambda x, w, b, record=False: _ref_conv_pool_forward(x, w, b, 1, 1, record),
+        lambda x, w, b, record=False: (*_ref_conv_pool_forward(x, w, b, 1, 1, record), None),
+    )
+    monkeypatch.setattr(
+        relnet, "_conv2_pool_forward",
+        lambda x, cells, w, b, record=False: _ref_conv_pool_forward(x, w, b, 2, 0, record),
     )
     monkeypatch.setattr(relnet, "_conv_pool_backward", _ref_conv_pool_backward)
     ref_loss, ref_grads = loss_and_grad(params, batch)
@@ -447,7 +483,7 @@ def _three_level_masks(rng, grid, n):
     "config", [TINY, COMPACT_RELNET_CONFIG, RelNetConfig()], ids=["tiny", "compact", "paper"]
 )
 def test_conv1_table_matches_conv_pool_bit_for_bit(config):
-    """conv1's window table gives _conv_pool_forward's pooled map, recorded
+    """conv1's window table gives the per-phase layer's pooled map, recorded
     phases and cache bit for bit, on three-level masks at many batch sizes."""
     rng = np.random.default_rng(23)
     t = init_params(config, seed=24).tensors
@@ -457,8 +493,8 @@ def test_conv1_table_matches_conv_pool_bit_for_bit(config):
     for batch in (1, 2, 5, 32, 56, 97, 256):
         x = masks[:batch] if batch == 256 else masks[rng.integers(0, 256, size=batch)]
         for record in (False, True):
-            want, want_cache = relnet._conv_pool_forward(x, w, b, 1, 1, record=record)
-            got, got_cache = relnet._conv1_pool_forward(x, w, b, record=record)
+            want, want_cache = _conv_pool_forward(x, w, b, 1, 1, record=record)
+            got, got_cache, _ = relnet._conv1_pool_forward(x, w, b, record=record)
             assert np.array_equal(got, want), (batch, record)
             assert np.array_equal(got_cache[0], want_cache[0])
             if record:
@@ -471,6 +507,105 @@ def test_conv1_table_matches_conv_pool_bit_for_bit(config):
     # included, and the pooled map lies on both sides of the ReLU.
     assert set(np.unique(got_cache[1])) == {0, 1, 2, 3, relnet._NO_PHASE}
     assert (got == 0).any() and (got > 0).any()
+
+
+def _dyadic(rng, shape):
+    """Values in {-0.5, -0.25, 0, 0.25, 0.5}: sums of a few products of them
+    and of three-level inputs are exact, and equal sums are real ties."""
+    return rng.integers(-2, 3, size=shape) / 4.0
+
+
+@pytest.mark.parametrize(
+    "config", [TINY, COMPACT_RELNET_CONFIG, RelNetConfig()], ids=["tiny", "compact", "paper"]
+)
+def test_conv2_table_matches_conv_pool_bit_for_bit(config):
+    """conv2's row table gives the per-phase layer's pooled map, recorded
+    phases and cache bit for bit, on the real conv1 maps of three-level masks
+    at many batch sizes.
+
+    At compact and paper size the weights are the seeded init, so this also
+    checks that the GEMM gives a row the same value whatever its row-mates.
+    With 3 filters OpenBLAS rounds the last row of an odd row count
+    differently, so at TINY size the per-phase layer itself moves with the
+    batch; there the weights are dyadic, every sum is exact, and the test
+    checks the keys, gathers and phase fold with real ties instead.
+    """
+    rng = np.random.default_rng(26)
+    t = init_params(config, seed=27).tensors
+    w1, w2 = t["conv1_w"], t["conv2_w"]
+    b1 = rng.normal(scale=0.1, size=config.conv1_filters)  # biases move the ReLU cut
+    b2 = rng.normal(scale=0.1, size=config.conv2_filters)
+    if config is TINY:
+        w1, w2 = _dyadic(rng, w1.shape), _dyadic(rng, w2.shape)
+        b1, b2 = _dyadic(rng, b1.shape), _dyadic(rng, b2.shape)
+    masks = _three_level_masks(rng, config.grid, 256)
+    zeros = np.zeros((3, config.grid, config.grid, 1))  # one distinct conv2 row
+    batches = [masks[:256], zeros[:1], zeros]
+    batches += [masks[rng.integers(0, 256, size=n)] for n in (1, 2, 5, 32, 56, 97)]
+    phases = set()
+    for x in batches:
+        for record in (False, True):
+            m1, _, cells = relnet._conv1_pool_forward(x, w1, b1, record=record)
+            want, want_cache = _conv_pool_forward(m1, w2, b2, 2, 0, record=record)
+            got, got_cache = relnet._conv2_pool_forward(m1, cells, w2, b2, record=record)
+            assert np.array_equal(got, want), (len(x), record)
+            assert got_cache[0] is m1 and want_cache[0] is m1
+            if record:
+                assert got_cache[1].dtype == np.uint8
+                assert np.array_equal(got_cache[1], want_cache[1]), len(x)
+                phases.update(np.unique(got_cache[1]).tolist())
+            else:
+                assert got_cache[1] is None
+            assert got_cache[2:] == want_cache[2:] == (2, 0)
+    # The recorded phases take every value, "no phase" (ReLU inactive)
+    # included, and the pooled map lies on both sides of the ReLU.
+    assert phases == {0, 1, 2, 3, relnet._NO_PHASE}
+    assert (got == 0).any() and (got > 0).any()
+
+
+@pytest.mark.parametrize(
+    "config,step", [(COMPACT_RELNET_CONFIG, 1), (RelNetConfig(), 7)], ids=["compact", "paper"]
+)
+def test_pair_conv_maps_bit_identical_in_any_batch(config, step):
+    """One pair's m1 and m2 are the same bits in batches of 1 to 64 masks
+    (every step-th size), first, last and at a random place in between,
+    with batch-mates drawn afresh, so its conv2 rows meet other row-mates
+    and other chunk bounds each time."""
+    rng = np.random.default_rng(28)
+    t = init_params(config, seed=29).tensors
+    masks = _three_level_masks(rng, config.grid, 257)
+    pair, pool = masks[256:], masks[:256]
+
+    def conv_maps(x):
+        m1, _, cells = relnet._conv1_pool_forward(x, t["conv1_w"], t["conv1_b"])
+        return m1, relnet._conv2_pool_forward(m1, cells, t["conv2_w"], t["conv2_b"])[0]
+
+    want1, want2 = conv_maps(pair)
+    for size in range(1, 65, step):
+        for pos in sorted({0, int(rng.integers(0, size)), size - 1}):
+            mates = pool[rng.choice(256, size=size - 1, replace=False)]
+            x = np.concatenate([mates[:pos], pair, mates[pos:]])
+            m1, m2 = conv_maps(x)
+            assert np.array_equal(m1[pos], want1[0]), (size, pos)
+            assert np.array_equal(m2[pos], want2[0]), (size, pos)
+
+
+def test_distinct_rows_match_np_unique_near_2_31():
+    """The key builder groups rows exactly when their values are near 2**31,
+    where a base-(max + 1) key over all nine columns would overflow."""
+    rng = np.random.default_rng(30)
+    top = 2**31 - 1
+    for cols in (1, 2, 9):
+        base = rng.integers(top - 3, top + 1, size=(7, cols))
+        base[1] = base[0]
+        base[1, -1] -= 1  # rows that differ only in their last column
+        base[2] = base[0]
+        base[2, 0] -= 1  # ... or only in their first
+        keys = base[rng.integers(0, 7, size=50)]
+        first, inverse = relnet._distinct_rows(keys)
+        want = np.unique(keys, axis=0)
+        assert np.array_equal(keys[first], want)  # rows in lexicographic order
+        assert np.array_equal(keys[first][inverse], keys)
 
 
 # ---------------------------------------------------------------------------
