@@ -49,8 +49,53 @@ def _load_json(path: str, what: str) -> dict:
             return json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # bad JSON or UTF-8, or an integer too long to read
         raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from None
+
+
+def _read_config(cls, path: str | None, what: str):
+    """The config dataclass ``cls`` read from a JSON file, or its defaults
+    without one; every bad value raises a ConfigError."""
+    doc = _load_json(path, what) if path else {}
+    return _dataclass_from_doc(cls, doc, what)
+
+
+def _read_train_rel_config(path: str | None):
+    """``(net config, train config)`` from a train-rel config file."""
+    doc = _load_json(path, "training config") if path else {}
+    if not isinstance(doc, dict):
+        raise ConfigError("training config must be a JSON object")
+    unknown = set(doc) - {"net", "train"}
+    if unknown:
+        raise ConfigError(f"unknown training config keys: {', '.join(sorted(unknown))}")
+    net_cfg = _dataclass_from_doc(relnet.RelNetConfig, doc.get("net", {}), "net config")
+    train_cfg = _dataclass_from_doc(relnet.TrainConfig, doc.get("train", {}), "train config")
+    return net_cfg, train_cfg
+
+
+def _read_ablation_config(path: str | None):
+    """``(gen config, net config, train config, n_train, n_eval)`` from an
+    ablation config file; the net defaults to the compact one."""
+    doc = _load_json(path, "ablation config") if path else {}
+    if not isinstance(doc, dict):
+        raise ConfigError("ablation config must be a JSON object")
+    unknown = set(doc) - {"gen", "net", "train", "n_train", "n_eval"}
+    if unknown:
+        raise ConfigError(f"unknown ablation config keys: {', '.join(sorted(unknown))}")
+    gen_cfg = _dataclass_from_doc(scenegen.GenConfig, doc.get("gen", {}), "gen config")
+    net_cfg = (
+        _dataclass_from_doc(relnet.RelNetConfig, doc["net"], "net config")
+        if "net" in doc
+        else pipeline.COMPACT_RELNET_CONFIG
+    )
+    train_cfg = _dataclass_from_doc(relnet.TrainConfig, doc.get("train", {}), "train config")
+    counts = []
+    for key, default in (("n_train", 2000), ("n_eval", 500)):
+        n = doc.get(key, default)
+        if type(n) is not int or n < 1:  # bool is an int subclass
+            raise ConfigError(f"ablation config {key}: expected an integer >= 1, got {n!r:.40}")
+        counts.append(n)
+    return gen_cfg, net_cfg, train_cfg, *counts
 
 
 def _read_scene_dir(path: str) -> list[Scene]:
@@ -105,13 +150,8 @@ def _cmd_enhance(args) -> int:
     return 0
 
 
-def _gen_config(args) -> scenegen.GenConfig:
-    doc = _load_json(args.config, "generator config") if args.config else {}
-    return _dataclass_from_doc(scenegen.GenConfig, doc, "generator config")
-
-
 def _cmd_gen_scenes(args) -> int:
-    cfg = _gen_config(args)
+    cfg = _read_config(scenegen.GenConfig, args.config, "generator config")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
@@ -124,7 +164,7 @@ def _cmd_gen_scenes(args) -> int:
 
 
 def _cmd_gen_pairs(args) -> int:
-    cfg = _gen_config(args)
+    cfg = _read_config(scenegen.GenConfig, args.config, "generator config")
     pairs = scenegen.gen_pair_dataset(cfg, args.count)
     scenegen.write_pairs_jsonl(pairs, args.out)
     print(f"wrote {len(pairs)} labeled pairs to {args.out}")
@@ -132,16 +172,7 @@ def _cmd_gen_pairs(args) -> int:
 
 
 def _cmd_train_rel(args) -> int:
-    doc = _load_json(args.config, "training config") if args.config else {}
-    if not isinstance(doc, dict):
-        raise ConfigError("training config must be a JSON object")
-    unknown = set(doc) - {"net", "train"}
-    if unknown:
-        raise ConfigError(f"unknown training config keys: {', '.join(sorted(unknown))}")
-    net_cfg = _dataclass_from_doc(relnet.RelNetConfig, doc.get("net", {}), "net config")
-    train_cfg = _dataclass_from_doc(
-        relnet.TrainConfig, doc.get("train", {}), "train config"
-    )
+    net_cfg, train_cfg = _read_train_rel_config(args.config)
     dataset = [p.sample for p in scenegen.read_pairs_jsonl(args.pairs)]
     params = relnet.init_params(net_cfg, train_cfg.seed)
     trained, history = relnet.train(params, dataset, train_cfg)
@@ -171,8 +202,7 @@ def _cmd_train_rules(args) -> int:
         net = relnet.load_params(args.relnet)
     except FileNotFoundError:
         raise ConfigError(f"weight file not found: {args.relnet}") from None
-    doc = _load_json(args.config, "rule training config") if args.config else {}
-    cfg = _dataclass_from_doc(logic.RuleTrainConfig, doc, "rule training config")
+    cfg = _read_config(logic.RuleTrainConfig, args.config, "rule training config")
     factory = functools.partial(pipeline.scene_pair_probs, net)
     params, history = logic.train_rule_params(rules, scenes, factory, cfg)
     logic.save_rule_params(params, args.out)
@@ -200,6 +230,10 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.ablations:  # read before the evaluation, so a bad value fails fast
+        gen_cfg, net_cfg, train_cfg, n_train, n_eval = _read_ablation_config(
+            args.ablation_config
+        )
     cfg = pipeline.load_pipeline_config(args.config)
     pipe = pipeline.load_pipeline(cfg)
     scenes = _read_scene_dir(args.scenes)
@@ -211,21 +245,6 @@ def _cmd_eval(args) -> int:
         f"map={ap['map']:.4f}   ({report['n_scenes']} scenes)"
     )
     if args.ablations:
-        abl = _load_json(args.ablation_config, "ablation config") if args.ablation_config else {}
-        unknown = set(abl) - {"gen", "net", "train", "n_train", "n_eval"}
-        if unknown:
-            raise ConfigError(f"unknown ablation config keys: {', '.join(sorted(unknown))}")
-        gen_cfg = _dataclass_from_doc(scenegen.GenConfig, abl.get("gen", {}), "gen config")
-        net_cfg = (
-            _dataclass_from_doc(relnet.RelNetConfig, abl["net"], "net config")
-            if "net" in abl
-            else pipeline.COMPACT_RELNET_CONFIG
-        )
-        train_cfg = _dataclass_from_doc(
-            relnet.TrainConfig, abl.get("train", {}), "train config"
-        )
-        n_train = int(abl.get("n_train", 2000))
-        n_eval = int(abl.get("n_eval", 500))
         train_pairs = [
             p.sample for p in scenegen.gen_pair_dataset(gen_cfg, n_train)
         ]

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_field_types
 from .scene import ClassLabel, Scene
 
 # Body predicates and their arities; unary ones assert a detection class.
@@ -443,10 +443,13 @@ class RuleTrainConfig:
     init_jitter: float = 0.01
 
     def __post_init__(self):
+        check_field_types(self)
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.init_jitter < 0:
             raise ConfigError("init_jitter must be >= 0")
 

@@ -29,18 +29,31 @@ function of its window alone; bias, max, ReLU and the recorded phase are
 elementwise on those values.  Pair samples only admit three-level rasters,
 which is what makes the table safe.
 
-conv2 extends the table one layer up.  Each conv1 cell is a row of conv1's
-table, so each conv2 im2col row, a 3x3 window of conv1 cells, is named by
-the nine table indices it reads.  Rows with equal indices hold equal
-inputs; the layer keys the rows of all four pool phases by those indices,
-runs one GEMM over the distinct rows only (in fixed chunks, so the working
-set stays small) and gathers each phase map from the result.  Background
-margins and polygon interiors repeat across the pairs of a batch, so on
-scene rasters about half of the rows are repeats.  This is exact for the
-same reason: the GEMM gives a row the same value whatever its row-mates,
-as long as it has at least one (BLAS hands a one-row product to a
-matrix-vector kernel that sums in another order), and the tests check both
-tables bit for bit against the per-phase layer at the network's sizes.
+conv2 extends the table one layer up and reads conv1's table directly.
+Each conv1 cell is a row of conv1's table, so each conv2 im2col row, a 3x3
+window of conv1 cells, is named by the nine table indices it reads.  Rows
+with equal indices hold equal inputs; the layer keys the rows of all four
+pool phases by those indices, gathers each distinct row from conv1's table
+by its nine indices, runs one GEMM over the distinct rows only (in fixed
+chunks, so the working set stays small) and gathers each phase map from
+the result.  Background margins and polygon interiors repeat across the
+pairs of a batch, so on scene rasters about half of the rows are repeats.
+This is exact for the same reason: the GEMM gives a row the same value
+whatever its row-mates, as long as it has at least one (BLAS hands a
+one-row product to a matrix-vector kernel that sums in another order), and
+the tests check both tables bit for bit against the per-phase layer at the
+network's sizes.  Inference therefore never builds conv1's pooled map
+(batch, 14, 14, F), the largest array of the forward pass; only training,
+whose backward pass reads it, and ``forward``, which returns it, gather it.
+
+A training step writes several arrays of megabytes: conv1's pooled map and
+recorded phases, and in the backward pass the full-resolution gradient,
+its phase mask, the im2col rows, conv2's column gradient and its input
+gradient.  ``train`` allocates them once, in one workspace that every step
+reuses, as Caffe allocates each layer's buffers once.  Allocated afresh,
+they cost page faults each step whenever the allocator had returned their
+memory to the system, so a step's speed depended on what the process had
+allocated before.
 
 Everything is plain numpy with hand-written backpropagation; gradients are
 verified against central finite differences in the tests.  All computation
@@ -60,7 +73,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_field_types
 from .scene import (
     CLASS_DIM,
     POSITION_DIM,
@@ -114,9 +127,7 @@ class RelNetConfig:
     n_classes: int = len(RELATION_ORDER)
 
     def __post_init__(self):
-        for k, v in asdict(self).items():
-            if type(v) is not int:  # bool is an int subclass
-                raise ConfigError(f"config field {k}: expected an integer, got {v!r}")
+        check_field_types(self)
         if self.grid < 8 or self.grid % 2:
             raise ConfigError(f"grid must be even and >= 8, got {self.grid}")
         if self.conv2_out < 2 or self.conv2_out % 2:
@@ -255,10 +266,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.lr_initial < 0 or self.lr_final < 0:
             raise ConfigError("learning rates must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError("momentum must be in [0, 1)")
         if self.weight_decay < 0:
@@ -345,8 +359,32 @@ _PHASE_GRID = np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)
 _NO_PHASE = 4  # recorded where ReLU is inactive: no phase gets the gradient
 
 
-def _im2col(xp, kh, kw, stride, oh, ow):
-    """im2col rows for output positions (i*stride, j*stride)."""
+class _Workspace:
+    """Buffers for the large arrays of the training steps of one train call
+    (see the module docstring), kept by role, such as "dfull".
+
+    ``array(role, shape, dtype)`` is a C-contiguous prefix view of the
+    role's flat buffer, which grows only when a request does not fit it: a
+    training run allocates each buffer in its first step, whose batch is
+    the largest, and both conv layers and the smaller last batch reuse it.
+    Each role keeps one dtype.  An array is valid until the next request
+    for its role.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, role: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        n = math.prod(shape)
+        buf = self._buffers.get(role)
+        if buf is None or buf.size < n:
+            buf = self._buffers[role] = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
+
+
+def _im2col(xp, kh, kw, stride, oh, ow, out):
+    """im2col rows for output positions (i*stride, j*stride), written into
+    ``out``, a C-contiguous (batch*oh*ow, kh*kw*cin) array, and returned."""
     batch, _, _, cin = xp.shape
     s0, s1, s2, s3 = xp.strides
     win = np.lib.stride_tricks.as_strided(
@@ -354,7 +392,8 @@ def _im2col(xp, kh, kw, stride, oh, ow):
         shape=(batch, oh, ow, kh, kw, cin),
         strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
     )
-    return win.reshape(batch * oh * ow, kh * kw * cin)
+    np.copyto(out.reshape(win.shape), win)
+    return out
 
 
 def _phase_max_relu(rows, filters, fill_phase, record):
@@ -403,18 +442,19 @@ def _distinct_rows(keys):
     return first, inverse
 
 
-def _conv1_pool_forward(x, w, b, record=False):
+def _conv1_pool_forward(x, w, b, ws=None):
     """conv1 -> pool -> ReLU (3x3, stride 1, same padding) for three-level
     rasters, evaluated once per distinct input window.
 
     Pooled cell (i, j) reads only the 4x4 window of the padded raster at
     rows 2i..2i+3 and columns 2j..2j+3.  Every window is coded in base 3
-    (16 digits of 2x), the per-phase layer runs on one representative of
-    each distinct code, and one gather spreads the rows, and the recorded
-    phases, back over all cells.  Returns the pooled map, the cache
-    ``(xp, idx, 1, 1)`` that _conv_pool_backward reads, and each cell's
-    table index, an int64 (batch, h/2, w/2) array of values below 3**16,
-    equal for two cells exactly when their windows are.
+    (16 digits of 2x) and the per-phase layer runs on one representative of
+    each distinct code.  Returns that table, each cell's table index (an
+    int64 (batch, h/2, w/2) array of values below 3**16, equal for two cells
+    exactly when their windows are) and, in training (with a workspace), the
+    cache ``(xp, idx, 1, 1)`` that _conv_pool_backward reads, its recorded
+    phases gathered into the workspace; else None.  The pooled map is
+    ``table[cells]``.
     """
     batch, h, wd, _ = x.shape
     filters = w.shape[-1]
@@ -440,101 +480,105 @@ def _conv1_pool_forward(x, w, b, record=False):
         np.matmul(rep[:, di : di + 3, dj : dj + 3].reshape(len(first), 9), w_mat, out=out)
         out += b
 
-    table, table_idx = _phase_max_relu(len(first), filters, fill_phase, record)
-    pooled = table[inverse].reshape(batch, ph, pw, filters)
-    idx = table_idx[inverse].reshape(pooled.shape) if record else None
-    return pooled, (xp, idx, 1, 1), inverse.reshape(batch, ph, pw)
+    table, table_idx = _phase_max_relu(len(first), filters, fill_phase, ws is not None)
+    cells = inverse.reshape(batch, ph, pw)
+    if ws is None:
+        return table, cells, None
+    idx = ws.array("phases", (batch, ph, pw, filters), np.uint8)
+    np.take(table_idx, cells, axis=0, out=idx, mode="clip")  # "raise" buffers the output
+    return table, cells, (xp, idx, 1, 1)
 
 
 _CONV2_CHUNK = 1024  # distinct im2col rows per conv2 GEMM
 
 
-def _conv2_pool_forward(x, cells, w, b, record=False):
+def _conv2_pool_forward(table1, cells, w, b, ws=None):
     """conv2 -> pool -> ReLU (3x3, stride 2, no padding), evaluated once per
     distinct im2col row.
 
-    ``x`` is conv1's pooled map and ``cells`` its per-cell table index from
-    _conv1_pool_forward.  Pool phase (di, dj) puts conv output (2i + di,
-    2j + dj) at pooled cell (i, j); its im2col row is the 3x3 window of
-    ``x`` there, so it is named by the nine table indices of that window.
-    The rows of all four phases are keyed by those indices alone, the
-    distinct ones are gathered from ``x`` and multiplied in chunks of
-    _CONV2_CHUNK rows, and each phase map is a gather from that table.
-    No product has a single row: BLAS hands that to a matrix-vector kernel,
-    which sums in another order than the matrix kernel.
-    Returns the pooled map and the cache ``(x, idx, 2, 0)`` that
-    _conv_pool_backward reads.
+    ``table1`` and ``cells`` are conv1's table and per-cell table index from
+    _conv1_pool_forward, so conv1's pooled map is ``table1[cells]``.  Pool
+    phase (di, dj) puts conv output (2i + di, 2j + dj) at pooled cell
+    (i, j); its im2col row is the 3x3 window of that map there, so it is
+    named by the nine table indices of that window.  The rows of all four
+    phases are keyed by those indices alone, the distinct ones are gathered
+    straight from ``table1`` and multiplied in chunks of _CONV2_CHUNK rows,
+    and each phase map is a gather from the result.  No product has a
+    single row: BLAS hands that to a matrix-vector kernel, which sums in
+    another order than the matrix kernel.
+    Returns the pooled map and, in training (with a workspace), the cache
+    ``(m1, idx, 2, 0)`` that _conv_pool_backward reads, with conv1's pooled
+    map m1 gathered into the workspace; else None.
     """
-    batch, h, wd, cin = x.shape
+    batch, h, wd = cells.shape
+    cin = table1.shape[1]
     filters = w.shape[-1]
     ph, pw = ((h - 3) // 2 + 1) // 2, ((wd - 3) // 2 + 1) // 2
-    # keys[di, dj, n, i, j, ki, kj]: table index of x[n, 4i + 2di + ki, 4j + 2dj + kj].
+    # keys[di, dj, n, i, j, ki, kj]: table index of cell (n, 4i + 2di + ki, 4j + 2dj + kj).
     c0, c1, c2 = cells.strides
     keys = np.lib.stride_tricks.as_strided(
         cells,
         shape=(2, 2, batch, ph, pw, 3, 3),
         strides=(2 * c1, 2 * c2, c0, 4 * c1, 4 * c2, c1, c2),
-    )
-    first, inverse = _distinct_rows(keys.reshape(-1, 9))
+    ).reshape(-1, 9)
+    first, inverse = _distinct_rows(keys)
     # A lone distinct row is multiplied twice: see the docstring.
-    first = np.resize(first, max(len(first), 2))
-    di, dj, n, i, j = np.unravel_index(first, (2, 2, batch, ph, pw))
-    rows, cols = 2 * i + di, 2 * j + dj
-    s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(batch, 2 * ph, 2 * pw, 3, 3, cin),
-        strides=(s0, 2 * s1, 2 * s2, s1, s2, s3),
-    )
+    rows = keys[np.resize(first, max(len(first), 2))]
     w_mat = w.reshape(9 * cin, filters)
-    table = np.empty((len(first), filters))
+    table = np.empty((len(rows), filters))
     # Near-equal chunks, so none has fewer than two rows.
-    n_chunks = -(-len(first) // _CONV2_CHUNK)
-    bounds = np.arange(n_chunks + 1) * len(first) // n_chunks
+    n_chunks = -(-len(rows) // _CONV2_CHUNK)
+    bounds = np.arange(n_chunks + 1) * len(rows) // n_chunks
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        win = windows[n[lo:hi], rows[lo:hi], cols[lo:hi]]
-        np.matmul(win.reshape(hi - lo, 9 * cin), w_mat, out=table[lo:hi])
+        np.matmul(table1[rows[lo:hi]].reshape(hi - lo, 9 * cin), w_mat, out=table[lo:hi])
     table += b
     inverse = inverse.reshape(4, batch * ph * pw)
     pooled, idx = _phase_max_relu(
         batch * ph * pw,
         filters,
-        lambda phase, out: np.take(table, inverse[phase], axis=0, out=out),
-        record,
+        lambda phase, out: np.take(table, inverse[phase], axis=0, out=out, mode="clip"),
+        ws is not None,
     )
     pooled = pooled.reshape(batch, ph, pw, filters)
-    if record:
-        idx = idx.reshape(pooled.shape)
-    return pooled, (x, idx, 2, 0)
+    if ws is None:
+        return pooled, None
+    m1 = ws.array("pooled", (batch, h, wd, cin))
+    np.take(table1, cells, axis=0, out=m1, mode="clip")
+    return pooled, (m1, idx.reshape(pooled.shape), 2, 0)
 
 
-def _conv_pool_backward(dy, w, cache, need_dx):
+def _conv_pool_backward(dy, w, cache, need_dx, ws):
     """Gradients of a conv -> pool -> ReLU layer from the cache ``(xp, idx,
-    stride, pad)`` its forward pass built with record=True: the padded
-    input and the recorded phases.  dx is None unless asked.
+    stride, pad)`` its forward pass built with a workspace: the padded
+    input and the recorded phases.  dx is None unless asked; it and every
+    full-resolution array are written into the workspace ``ws``.
 
     One pass scatters each pooled gradient into the full-resolution map
     viewed as (batch, i, di, j, dj, f): it lands at the recorded phase
     2*di + dj and every other entry is 0, with none at all where ReLU was
     inactive.  That map meets the full-resolution im2col rows in one GEMM.
-    Adding 0.0 first turns a -0.0 gradient into +0.0, the sign of every
-    other zero in the map.
     """
     xp, idx, stride, pad = cache
     batch, ph, pw, filters = dy.shape
     kh, kw, cin, _ = w.shape
     oh, ow = 2 * ph, 2 * pw
-    dfull = np.where(
-        idx[:, :, None, :, None, :] == _PHASE_GRID, (dy + 0.0)[:, :, None, :, None, :], 0.0
-    )
+    full = (batch, ph, 2, pw, 2, filters)
+    mask = ws.array("mask", full, bool)
+    np.equal(idx[:, :, None, :, None, :], _PHASE_GRID, out=mask)
+    dfull = ws.array("dfull", full)
+    np.multiply(mask, dy[:, :, None, :, None, :], out=dfull)
+    dfull += 0.0  # mask * dy is -0.0 off the mask where dy < 0: make every zero +0.0
     dy_mat = dfull.reshape(batch * oh * ow, filters)
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
+    cols = _im2col(xp, kh, kw, stride, oh, ow, ws.array("cols", (batch * oh * ow, kh * kw * cin)))
     dw = (cols.T @ dy_mat).reshape(w.shape)
     db = dy_mat.sum(axis=0)
     if not need_dx:
         return None, dw, db
-    dcols = (dy_mat @ w.reshape(-1, filters).T).reshape(batch, oh, ow, kh, kw, cin)
-    dxp = np.zeros(xp.shape)
+    dcols = ws.array("dcols", (batch * oh * ow, kh * kw * cin))
+    np.matmul(dy_mat, w.reshape(-1, filters).T, out=dcols)
+    dcols = dcols.reshape(batch, oh, ow, kh, kw, cin)
+    dxp = ws.array("dx", xp.shape)
+    dxp.fill(0.0)
     for i in range(kh):
         for j in range(kw):
             dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += (
@@ -551,11 +595,13 @@ def _softmax(logits):
 
 
 def _forward_batch(
-    params: RelNetParams, rasters: np.ndarray, vecs: np.ndarray, record: bool = False
+    params: RelNetParams, rasters: np.ndarray, vecs: np.ndarray, ws: _Workspace | None = None
 ):
+    """Forward pass; training passes a workspace, which makes the conv layers
+    record what the backward pass reads."""
     t = params.tensors
-    m1, cache1, cells = _conv1_pool_forward(rasters, t["conv1_w"], t["conv1_b"], record=record)
-    m2, cache2 = _conv2_pool_forward(m1, cells, t["conv2_w"], t["conv2_b"], record=record)
+    table1, cells, cache1 = _conv1_pool_forward(rasters, t["conv1_w"], t["conv1_b"], ws)
+    m2, cache2 = _conv2_pool_forward(table1, cells, t["conv2_w"], t["conv2_b"], ws)
     flat = m2.reshape(m2.shape[0], -1)
     z1 = vecs @ t["fc1_w"] + t["fc1_b"]
     v1 = np.maximum(z1, 0.0)
@@ -574,10 +620,10 @@ def _forward_batch(
         "z2": z2,
         "v2": v2,
     }
-    return m1, m2, v1, v2, logits, y, cache
+    return table1, cells, m2, v1, v2, logits, y, cache
 
 
-def _backward_batch(params: RelNetParams, cache: dict, dlogits: np.ndarray):
+def _backward_batch(params: RelNetParams, cache: dict, dlogits: np.ndarray, ws: _Workspace):
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
     grads["head_w"] = cache["v2"].T @ dlogits
@@ -595,10 +641,10 @@ def _backward_batch(params: RelNetParams, cache: dict, dlogits: np.ndarray):
     grads["fc1_b"] = dz1.sum(axis=0)
     dm2 = dflat.reshape(cache["m2_shape"])
     dm1, grads["conv2_w"], grads["conv2_b"] = _conv_pool_backward(
-        dm2, t["conv2_w"], cache["cache2"], need_dx=True
+        dm2, t["conv2_w"], cache["cache2"], True, ws
     )
     _, grads["conv1_w"], grads["conv1_b"] = _conv_pool_backward(
-        dm1, t["conv1_w"], cache["cache1"], need_dx=False
+        dm1, t["conv1_w"], cache["cache1"], False, ws
     )
     return grads
 
@@ -639,22 +685,22 @@ def init_params(config: RelNetConfig, seed: int) -> RelNetParams:
 def forward(params: RelNetParams, sample: PairSample) -> RelNetActivations:
     """Full forward pass for one sample."""
     rasters, vecs = _stack_batch(params.config, [sample])
-    m1, m2, v1, v2, logits, y, _ = _forward_batch(params, rasters, vecs)
+    table1, cells, m2, v1, v2, logits, y, _ = _forward_batch(params, rasters, vecs)
     return RelNetActivations(
-        m_ctr1=m1[0], m_ctr2=m2[0], v1=v1[0], v2=v2[0], logits=logits[0], y=y[0]
+        m_ctr1=table1[cells[0]], m_ctr2=m2[0], v1=v1[0], v2=v2[0], logits=logits[0], y=y[0]
     )
 
 
-def _loss_and_grad_batch(params: RelNetParams, batch: list[PairSample]):
+def _loss_and_grad_batch(params: RelNetParams, batch: list[PairSample], ws: _Workspace):
     labels = np.array([RELATION_ORDER.index(s.label) for s in batch])
     rasters, vecs = _stack_batch(params.config, batch)
-    *_, logits, y, cache = _forward_batch(params, rasters, vecs, record=True)
+    *_, logits, y, cache = _forward_batch(params, rasters, vecs, ws)
     n = len(batch)
     loss = float(-np.log(y[np.arange(n), labels]).mean())
     dlogits = y.copy()
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    grads = _backward_batch(params, cache, dlogits)
+    grads = _backward_batch(params, cache, dlogits, ws)
     correct = int((y.argmax(axis=1) == labels).sum())
     return loss, grads, correct
 
@@ -667,7 +713,7 @@ def loss_and_grad(
         raise DataError("empty batch")
     if any(s.label is None for s in batch):
         raise DataError("loss needs labeled samples")
-    loss, grads, _ = _loss_and_grad_batch(params, batch)
+    loss, grads, _ = _loss_and_grad_batch(params, batch, _Workspace())
     return loss, RelNetParams(params.config, grads)
 
 
@@ -680,7 +726,8 @@ def train(
 
     Weight decay shrinks parameters by (1 - weight_decay) every step
     independently of the learning rate.  Shuffling, and therefore the whole
-    run, is determined by cfg.seed and the dataset order.
+    run, is determined by cfg.seed and the dataset order.  Every step
+    writes its large arrays into one workspace, sized by the first batch.
     """
     if not dataset:
         raise DataError("empty training dataset")
@@ -693,6 +740,7 @@ def train(
     work = params.copy()
     velocity = {k: np.zeros_like(v) for k, v in work.tensors.items()}
     history: list[EpochStats] = []
+    ws = _Workspace()
     n = len(dataset)
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
@@ -701,7 +749,7 @@ def train(
         correct_sum = 0
         for start in range(0, n, cfg.batch_size):
             batch = [dataset[i] for i in order[start : start + cfg.batch_size]]
-            loss, grads, correct = _loss_and_grad_batch(work, batch)
+            loss, grads, correct = _loss_and_grad_batch(work, batch, ws)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}; learning rate too high?"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_field_types
 from .relnet import PairSample, RelationLabel, make_pair_sample
 from .scene import BBox, ClassLabel, DetectedObject, MaskRaster, PolygonMask, Scene
 
@@ -59,6 +59,9 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.width < 32 or self.height < 32:
             raise ConfigError("canvas must be at least 32x32")
         for name in ("tanks", "blobs", "blob_vertices", "band_frac"):
@@ -73,7 +76,7 @@ class GenConfig:
             raise ConfigError("band_frac must lie within [0.05, 0.35]")
         if not (0.0 <= self.distractor_prob <= 1.0):
             raise ConfigError("distractor_prob must be in [0, 1]")
-        if len(self.mix) != 3 or any(f < 0 for f in self.mix):
+        if any(f < 0 for f in self.mix):
             raise ConfigError("mix needs 3 non-negative fractions")
         if abs(sum(self.mix) - 1.0) > 1e-9:
             raise ConfigError(f"mix fractions must sum to 1, got {sum(self.mix)}")

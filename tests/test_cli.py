@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -7,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from leakscan import cli
 from leakscan.cli import main
-from leakscan.logic import parse_rules
+from leakscan.errors import ConfigError
+from leakscan.logic import RuleTrainConfig, parse_rules
 from leakscan.pipeline import DEFAULT_RULES_TEXT
 from leakscan.pnm import read_pnm, write_pnm
 from leakscan.relnet import RelNetConfig, load_params
+from leakscan.scenegen import GenConfig
 from leakscan.scene import BBox, ClassLabel, DetectedObject, PolygonMask, Scene, serialize_scene
 
 TRAIN_REL_CONFIG = {
@@ -230,6 +234,138 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ["gen", "scenes", "--config", str(not_utf8), "--out", str(tmp_path / "s")]
     ) == 1
     assert capsys.readouterr().err.count("is not valid JSON") == 2
+
+
+@pytest.mark.parametrize(
+    "command,doc,message",
+    [
+        ("train-rel", {"train": {"batch_size": 2.5}}, "field batch_size: expected an integer"),
+        ("train-rel", {"train": {"epochs": 1e999}}, "field epochs: expected an integer, got inf"),
+        ("train-rel", {"train": {"epochs": True}}, "field epochs: expected an integer, got True"),
+        ("train-rel", {"train": {"seed": 1.5}}, "field seed: expected an integer, got 1.5"),
+        ("train-rel", {"train": {"seed": -1}}, "seed must be >= 0"),
+        ("train-rel", {"train": {"lr_initial": float("nan")}}, "field lr_initial: expected a finite"),
+        ("train-rel", {"train": {"weight_decay": float("nan")}}, "field weight_decay: expected a"),
+        ("train-rules", {"steps": 2.5}, "field steps: expected an integer, got 2.5"),
+        ("train-rules", {"steps": True}, "field steps: expected an integer, got True"),
+        ("train-rules", {"seed": 1.5}, "field seed: expected an integer, got 1.5"),
+        ("train-rules", {"seed": -3}, "seed must be >= 0"),
+        ("gen", {"seed": 1.5}, "field seed: expected an integer, got 1.5"),
+        ("gen", {"tanks": [0, 2.5]}, "field tanks[1]: expected an integer, got 2.5"),
+        ("gen", {"tanks": [0]}, "field tanks: expected a list of 2 numbers"),
+        ("gen", {"confidence_jitter": float("nan")}, "field confidence_jitter: expected a finite"),
+        ("ablation", {"n_train": "abc"}, "n_train: expected an integer >= 1, got 'abc'"),
+        ("ablation", {"n_eval": 0}, "n_eval: expected an integer >= 1, got 0"),
+        ("ablation", {"gen": {"seed": -1}}, "seed must be >= 0"),
+    ],
+)
+def test_bad_config_values_exit_1(workspace, tmp_path, capsys, command, doc, message):
+    """A bad value in a train-rel, train-rules, generator or ablation config
+    exits 1 with an error that names its field, before any work is done."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = {
+        "train-rel": ["train-rel", "--pairs", str(workspace / "pairs.jsonl"),
+                      "--out", str(tmp_path / "w.npz")],
+        "train-rules": ["train-rules", "--rules", str(workspace / "rules.txt"),
+                        "--scenes", str(workspace / "scenes"),
+                        "--relnet", str(workspace / "relnet.json"),
+                        "--out", str(tmp_path / "p.json")],
+        "gen": ["gen", "scenes", "--out", str(tmp_path / "s")],
+        "ablation": ["eval", "--config", str(workspace / "pipeline.json"),
+                     "--scenes", str(workspace / "scenes"), "--ablations",
+                     "--ablation-config", str(cfg)],
+    }[command]
+    if command != "ablation":
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert not (tmp_path / "w.npz").exists() and not (tmp_path / "p.json").exists()
+    assert not (tmp_path / "s").exists()
+    out, err = capsys.readouterr()
+    assert out == ""  # eval printed no table
+    assert err.startswith("error: ")
+    assert message in err, err
+
+
+def _leaf_paths(doc, path=()):
+    """Paths to every value in a config document that is not an object,
+    lists and their entries included."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaf_paths(value, path + (key,))
+        return
+    yield path
+    if isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _leaf_paths(value, path + (i,))
+
+
+def _doc(value):
+    """The config document of a read config value."""
+    return dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+
+
+def test_config_readers_fuzz_raise_only_config_errors(tmp_path, text_mutator):
+    """Corrupted train-rel, train-rules, generator and ablation config files
+    read to configs that write and read back unchanged, or raise a
+    ConfigError; a wrong type, NaN or an infinity in any field is always
+    rejected."""
+    train = {"lr_initial": 0.02, "lr_final": 0.002, "epochs": 3, "batch_size": 8,
+             "momentum": 0.8, "weight_decay": 0.001, "seed": 4}
+    net = dataclasses.asdict(RelNetConfig(conv1_filters=4, conv2_filters=4))
+    gen = dataclasses.asdict(GenConfig(tanks=(1, 2), distractor_prob=0.25, seed=5))
+    readers = {
+        "train-rel": (cli._read_train_rel_config, {"net": net, "train": train}),
+        "train-rules": (
+            lambda p: cli._read_config(RuleTrainConfig, p, "rule training config"),
+            {"lr": 0.05, "steps": 30, "seed": 6, "init_jitter": 0.02},
+        ),
+        "gen": (lambda p: cli._read_config(GenConfig, p, "generator config"), gen),
+        "ablation": (
+            cli._read_ablation_config,
+            {"gen": gen, "net": net, "train": train, "n_train": 40, "n_eval": 20},
+        ),
+    }
+    path = tmp_path / "config.json"
+    rng = np.random.default_rng(39)
+    bad_values = ("1", "", True, False, None, [], {}, float("nan"), float("inf"), -float("inf"))
+    for name, (read, doc) in readers.items():
+        text = json.dumps(doc, indent=2)
+        leaves = list(_leaf_paths(doc))
+        outcomes = {"loaded": 0, "rejected": 0}
+        for i in range(400):
+            # Every fourth case puts a value of the wrong type, NaN or an
+            # infinity at a random field, list or list entry; every fourth
+            # puts a random value of the right type at a number.
+            if i % 4 < 2:
+                mutated = text_mutator(rng, text)
+            else:
+                changed = json.loads(text)
+                *parents, last = leaves[int(rng.integers(0, len(leaves)))]
+                target = changed
+                for key in parents:
+                    target = target[key]
+                old = target[last]
+                if i % 4 == 3:
+                    bad = bad_values + ((2.5,) if type(old) is int else ())
+                    target[last] = bad[int(rng.integers(0, len(bad)))]
+                elif type(old) is int:
+                    target[last] = int(rng.integers(-2, 2 * old + 3))
+                elif type(old) is float:
+                    target[last] = float(rng.uniform(-0.5, 2 * old + 0.5))
+                mutated = json.dumps(changed, indent=2)
+            path.write_text(mutated, encoding="utf-8")
+            try:
+                got = read(str(path))
+            except ConfigError:
+                outcomes["rejected"] += 1
+                continue
+            assert i % 4 != 3, mutated
+            again = dict(zip(doc, map(_doc, got))) if isinstance(got, tuple) else _doc(got)
+            path.write_text(json.dumps(again), encoding="utf-8")
+            assert read(str(path)) == got
+            outcomes["loaded"] += 1
+        assert min(outcomes.values()) > 40, (name, outcomes)  # both outcomes are exercised
 
 
 def test_data_errors_exit_2(workspace, tmp_path, capsys):

@@ -374,7 +374,10 @@ def _conv_pool_forward(x, w, b, stride, pad, record=False):
 
     def fill_phase(phase, out):
         di, dj = relnet._POOL_PHASES[phase]
-        cols = relnet._im2col(xp[:, di * stride :, dj * stride :], kh, kw, 2 * stride, ph, pw)
+        cols = relnet._im2col(
+            xp[:, di * stride :, dj * stride :], kh, kw, 2 * stride, ph, pw,
+            np.empty((batch * ph * pw, kh * kw * cin)),
+        )
         np.matmul(cols, w_mat, out=out)
         out += b
 
@@ -419,9 +422,13 @@ def _tie_heavy_case(rng, stride, batch=5, cin=3, filters=4):
 
 @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
 def test_conv_pool_matches_full_resolution_reference(stride, pad):
+    """The per-phase layer and the backward pass match the full-resolution
+    layer bit for bit; the backward pass reuses one workspace over batches
+    of falling size, as train does, and a fresh one gives the same bits."""
     rng = np.random.default_rng(20)
-    for _ in range(3):
-        x, w, b = _tie_heavy_case(rng, stride)
+    ws = relnet._Workspace()
+    for batch in (5, 5, 5, 3):
+        x, w, b = _tie_heavy_case(rng, stride, batch=batch)
         ref, ref_cache = _ref_conv_pool_forward(x, w, b, stride, pad)
         fused, _ = _conv_pool_forward(x, w, b, stride, pad)
         out, cache = _conv_pool_forward(x, w, b, stride, pad, record=True)
@@ -429,11 +436,14 @@ def test_conv_pool_matches_full_resolution_reference(stride, pad):
         assert np.array_equal(out, ref)
         assert (ref == 0).any() and (ref > 0).any()
         dy = rng.integers(-3, 4, size=ref.shape) / 8.0
+        signed = dy[::2]
+        signed[signed == 0] = -0.0  # zero gradients of either sign
         want = _ref_conv_pool_backward(dy, w, ref_cache, need_dx=True)
-        got = relnet._conv_pool_backward(dy, w, cache, need_dx=True)
-        for g, r in zip(got, want):
-            assert np.array_equal(g, r)
-        assert relnet._conv_pool_backward(dy, w, cache, need_dx=False)[0] is None
+        got = relnet._conv_pool_backward(dy, w, cache, True, ws)
+        fresh = relnet._conv_pool_backward(dy, w, cache, True, relnet._Workspace())
+        for g, f, r in zip(got, fresh, want):
+            assert g.tobytes() == f.tobytes() == r.tobytes()
+        assert relnet._conv_pool_backward(dy, w, cache, False, ws)[0] is None
 
 
 def test_loss_and_grad_matches_reference_at_paper_size(monkeypatch):
@@ -442,15 +452,22 @@ def test_loss_and_grad_matches_reference_at_paper_size(monkeypatch):
     params = init_params(config, seed=22)
     batch = synth_batch(rng, 6, config)
     loss, grads = loss_and_grad(params, batch)
-    monkeypatch.setattr(
-        relnet, "_conv1_pool_forward",
-        lambda x, w, b, record=False: (*_ref_conv_pool_forward(x, w, b, 1, 1, record), None),
-    )
+
+    def ref_conv1(x, w, b, ws=None):
+        # The pooled map as a table with one row per cell.
+        m1, cache = _ref_conv_pool_forward(x, w, b, 1, 1)
+        cells = np.arange(m1[..., 0].size).reshape(m1.shape[:3])
+        return m1.reshape(-1, m1.shape[-1]), cells, cache
+
+    monkeypatch.setattr(relnet, "_conv1_pool_forward", ref_conv1)
     monkeypatch.setattr(
         relnet, "_conv2_pool_forward",
-        lambda x, cells, w, b, record=False: _ref_conv_pool_forward(x, w, b, 2, 0, record),
+        lambda table1, cells, w, b, ws=None: _ref_conv_pool_forward(table1[cells], w, b, 2, 0),
     )
-    monkeypatch.setattr(relnet, "_conv_pool_backward", _ref_conv_pool_backward)
+    monkeypatch.setattr(
+        relnet, "_conv_pool_backward",
+        lambda dy, w, cache, need_dx, ws: _ref_conv_pool_backward(dy, w, cache, need_dx),
+    )
     ref_loss, ref_grads = loss_and_grad(params, batch)
     assert loss == ref_loss
     for name, g in grads.tensors.items():
@@ -483,26 +500,30 @@ def _three_level_masks(rng, grid, n):
     "config", [TINY, COMPACT_RELNET_CONFIG, RelNetConfig()], ids=["tiny", "compact", "paper"]
 )
 def test_conv1_table_matches_conv_pool_bit_for_bit(config):
-    """conv1's window table gives the per-phase layer's pooled map, recorded
-    phases and cache bit for bit, on three-level masks at many batch sizes."""
+    """conv1's window table, gathered by its cell indices, gives the
+    per-phase layer's pooled map, recorded phases and cache bit for bit, on
+    three-level masks at many batch sizes; one workspace serves them all."""
     rng = np.random.default_rng(23)
     t = init_params(config, seed=24).tensors
     w = t["conv1_w"]
     b = rng.normal(scale=0.1, size=config.conv1_filters)  # biases move the ReLU cut
     masks = _three_level_masks(rng, config.grid, 256)
+    ws = relnet._Workspace()
     for batch in (1, 2, 5, 32, 56, 97, 256):
         x = masks[:batch] if batch == 256 else masks[rng.integers(0, 256, size=batch)]
-        for record in (False, True):
+        for workspace in (None, ws):
+            record = workspace is not None
             want, want_cache = _conv_pool_forward(x, w, b, 1, 1, record=record)
-            got, got_cache, _ = relnet._conv1_pool_forward(x, w, b, record=record)
+            table, cells, got_cache = relnet._conv1_pool_forward(x, w, b, workspace)
+            got = table[cells]
             assert np.array_equal(got, want), (batch, record)
-            assert np.array_equal(got_cache[0], want_cache[0])
             if record:
+                assert np.array_equal(got_cache[0], want_cache[0])
                 assert got_cache[1].dtype == np.uint8
                 assert np.array_equal(got_cache[1], want_cache[1]), batch
+                assert got_cache[2:] == want_cache[2:] == (1, 1)
             else:
-                assert got_cache[1] is None
-            assert got_cache[2:] == want_cache[2:] == (1, 1)
+                assert got_cache is None
     # The recorded phases take every value, "no phase" (ReLU inactive)
     # included, and the pooled map lies on both sides of the ReLU.
     assert set(np.unique(got_cache[1])) == {0, 1, 2, 3, relnet._NO_PHASE}
@@ -519,9 +540,10 @@ def _dyadic(rng, shape):
     "config", [TINY, COMPACT_RELNET_CONFIG, RelNetConfig()], ids=["tiny", "compact", "paper"]
 )
 def test_conv2_table_matches_conv_pool_bit_for_bit(config):
-    """conv2's row table gives the per-phase layer's pooled map, recorded
-    phases and cache bit for bit, on the real conv1 maps of three-level masks
-    at many batch sizes.
+    """conv2's row table, read straight from conv1's table, gives the
+    per-phase layer's pooled map, recorded phases and cache bit for bit on
+    conv1's pooled map ``table1[cells]`` of three-level masks at many batch
+    sizes; one workspace serves them all.
 
     At compact and paper size the weights are the seeded init, so this also
     checks that the GEMM gives a row the same value whatever its row-mates.
@@ -543,20 +565,23 @@ def test_conv2_table_matches_conv_pool_bit_for_bit(config):
     batches = [masks[:256], zeros[:1], zeros]
     batches += [masks[rng.integers(0, 256, size=n)] for n in (1, 2, 5, 32, 56, 97)]
     phases = set()
+    ws = relnet._Workspace()
     for x in batches:
-        for record in (False, True):
-            m1, _, cells = relnet._conv1_pool_forward(x, w1, b1, record=record)
+        for workspace in (None, ws):
+            record = workspace is not None
+            table1, cells, _ = relnet._conv1_pool_forward(x, w1, b1, workspace)
+            m1 = table1[cells]
             want, want_cache = _conv_pool_forward(m1, w2, b2, 2, 0, record=record)
-            got, got_cache = relnet._conv2_pool_forward(m1, cells, w2, b2, record=record)
+            got, got_cache = relnet._conv2_pool_forward(table1, cells, w2, b2, workspace)
             assert np.array_equal(got, want), (len(x), record)
-            assert got_cache[0] is m1 and want_cache[0] is m1
             if record:
+                assert np.array_equal(got_cache[0], m1)
                 assert got_cache[1].dtype == np.uint8
                 assert np.array_equal(got_cache[1], want_cache[1]), len(x)
                 phases.update(np.unique(got_cache[1]).tolist())
+                assert got_cache[2:] == want_cache[2:] == (2, 0)
             else:
-                assert got_cache[1] is None
-            assert got_cache[2:] == want_cache[2:] == (2, 0)
+                assert got_cache is None
     # The recorded phases take every value, "no phase" (ReLU inactive)
     # included, and the pooled map lies on both sides of the ReLU.
     assert phases == {0, 1, 2, 3, relnet._NO_PHASE}
@@ -577,8 +602,9 @@ def test_pair_conv_maps_bit_identical_in_any_batch(config, step):
     pair, pool = masks[256:], masks[:256]
 
     def conv_maps(x):
-        m1, _, cells = relnet._conv1_pool_forward(x, t["conv1_w"], t["conv1_b"])
-        return m1, relnet._conv2_pool_forward(m1, cells, t["conv2_w"], t["conv2_b"])[0]
+        table1, cells, _ = relnet._conv1_pool_forward(x, t["conv1_w"], t["conv1_b"])
+        m2, _ = relnet._conv2_pool_forward(table1, cells, t["conv2_w"], t["conv2_b"])
+        return table1[cells], m2
 
     want1, want2 = conv_maps(pair)
     for size in range(1, 65, step):
@@ -588,6 +614,52 @@ def test_pair_conv_maps_bit_identical_in_any_batch(config, step):
             m1, m2 = conv_maps(x)
             assert np.array_equal(m1[pos], want1[0]), (size, pos)
             assert np.array_equal(m2[pos], want2[0]), (size, pos)
+
+
+def test_predict_batch_never_builds_conv1_pooled_map():
+    """A full 256-pair chunk of paper-size scene pairs peaks below 60 MB of
+    traced memory: conv2 reads conv1's table, and conv1's pooled map, 103 MB
+    at this size, is never built."""
+    cfg = scenegen.GenConfig(tanks=(1, 2), blobs=(3, 6), distractor_prob=0.5, seed=34)
+    samples = []
+    for index in range(40):
+        scene = scenegen.gen_scene(cfg, index)
+        samples += all_pair_samples(scene.objects, scene.image_width, scene.image_height)
+    assert len(samples) >= 256
+    params = init_params(RelNetConfig(), seed=35)
+    tracemalloc.start()
+    try:
+        predict_batch(params, samples[:256])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6, peak
+
+
+def test_training_steps_reuse_one_workspace(monkeypatch):
+    """After the first step, a compact training step at batch 32 adds less
+    than 7 MB to the traced memory: its large arrays live in the workspace
+    that the first step allocated, which the smaller last batch reuses."""
+    step = relnet._loss_and_grad_batch
+    added = []
+
+    def traced_step(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = step(*args)
+        added.append(tracemalloc.get_traced_memory()[1] - before)
+        return result
+
+    monkeypatch.setattr(relnet, "_loss_and_grad_batch", traced_step)
+    pairs = [p.sample for p in scenegen.gen_pair_dataset(scenegen.GenConfig(seed=36), 118)]
+    tracemalloc.start()
+    try:
+        train(init_params(COMPACT_RELNET_CONFIG, seed=37), pairs, TrainConfig(epochs=1, seed=38))
+    finally:
+        tracemalloc.stop()
+    assert len(added) == 4  # batches of 32, 32, 32 and 22 pairs
+    assert added[0] > 10e6  # the workspace
+    assert max(added[1:]) < 7e6, added
 
 
 def test_distinct_rows_match_np_unique_near_2_31():
