@@ -200,18 +200,11 @@ def metrics(input_img: GrayImage, candidate: GrayImage) -> tuple[float, float, f
     return rbd, rcd, asd
 
 
-def scores(
-    rbd: float,
-    rcd: float,
-    asd: float,
-    k_b: float = K_BRIGHTNESS,
-    k_d: float = K_DETAIL,
-    r_target: float = R_TARGET,
-) -> tuple[float, float, float]:
+def scores(rbd: float, rcd: float, asd: float) -> tuple[float, float, float]:
     """Shape raw metrics into bounded [0, 1] scores (bps, ocs, dps)."""
-    bps = float(np.exp(-k_b * rbd))
-    ocs = min(max(rcd / r_target, 0.0), 1.0)
-    dps = float(np.exp(-k_d * asd))
+    bps = float(np.exp(-K_BRIGHTNESS * rbd))
+    ocs = min(max(rcd / R_TARGET, 0.0), 1.0)
+    dps = float(np.exp(-K_DETAIL * asd))
     return bps, ocs, dps
 
 

@@ -31,16 +31,20 @@ atom may bind one object to both arguments; the pipeline's relation lookup
 gives such a self-pair a crisp "other" (0, 0, 1), as an object is neither
 on nor near itself.
 
+One scorer serves inference, evaluation and weight learning, with tensor
+grounding as in Logic Tensor Networks: a corpus is grounded once, and per
+rule the scenes' binding matrices are stacked (equal row counts in one 3-D
+array), a segment max finds each scene's first best binding, and one
+argmax over rules per scene finds the winner.  evaluate_rules scores its
+scene as a one-scene corpus and ruleset_scores scores a whole corpus, so
+the two agree bit for bit: every value comes from the same elementwise
+operations and, per scene, the same matrix-vector product.
+
 Weight learning is joint gradient descent on binary cross-entropy between
 the ruleset score and the scene leak label, with subgradients routed
-through the max picks and zeroed outside the clamp range.  The corpus is
-grounded once; each step then scores it whole, as tensor grounding in Logic
-Tensor Networks does: per rule, the scenes' binding matrices are stacked
-(equal row counts in one 3-D array), a segment max finds each scene's first
-best binding, and one argmax over rules per scene finds the winner.  The
-step is bit-identical to scoring one scene at a time: every value comes
-from the same elementwise operations and the same per-matrix BLAS call,
-and the loss and the gradients are summed in scene order.
+through the max picks and zeroed outside the clamp range.  Each step
+scores the whole corpus with that scorer; the loss and the gradients are
+summed in scene order.
 """
 
 from __future__ import annotations
@@ -389,12 +393,93 @@ def ground_rule(
     return np.stack(cols, axis=1), ids
 
 
-def _best_binding(x: np.ndarray, weights: np.ndarray, bias: float) -> tuple[int, float, float]:
-    """First binding with the highest clamped affine score: (row, score, z)."""
-    z = x @ weights + bias
-    y = np.clip(z, 0.0, 1.0)
-    i = int(np.argmax(y))
-    return i, float(y[i]), float(z[i])
+@dataclass(frozen=True)
+class _StackedGroundings:
+    """One rule's groundings over a corpus, for the scorer.
+
+    Block k is the non-empty ground_rule matrix of scene scene[k].  The
+    blocks are ordered by row count, then scene; those of one row count
+    are stacked in one 3-D array of groups.  rows holds all their rows in
+    block order, block k from row starts[k] on, sizes[k] of them, and ids
+    the object ids each row binds to rule.variables().
+    """
+
+    groups: list[np.ndarray]
+    rows: np.ndarray
+    ids: np.ndarray
+    scene: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
+def _ground_corpus(rules, scenes, pair_probs_factory) -> list[_StackedGroundings]:
+    per_scene = []
+    for scene in scenes:
+        fn = pair_probs_factory(scene)
+        per_scene.append([ground_rule(rule, scene, fn) for rule in rules])
+    stacked = []
+    for r, rule in enumerate(rules):
+        xs, ids = [g[r][0] for g in per_scene], [g[r][1] for g in per_scene]
+        order = sorted((i for i, x in enumerate(xs) if len(x)), key=lambda i: len(xs[i]))
+        sizes = np.array([len(xs[i]) for i in order], dtype=np.intp)
+        stacked.append(_StackedGroundings(
+            groups=[
+                np.stack([xs[i] for i in same])
+                for _, same in itertools.groupby(order, key=lambda i: len(xs[i]))
+            ],
+            rows=np.concatenate([np.zeros((0, len(rule.body))), *(xs[i] for i in order)]),
+            ids=np.concatenate(
+                [np.zeros((0, len(rule.variables())), np.int64), *(ids[i] for i in order)]
+            ),
+            scene=np.array(order, dtype=np.intp),
+            starts=np.cumsum(sizes) - sizes,
+            sizes=sizes,
+        ))
+    return stacked
+
+
+def _ground_and_check(rules, params, scenes, pair_probs_factory):
+    """The corpus groundings and the flat weight vectors, once every rule
+    with a binding has one weight per premise."""
+    if len(rules) != len(params):
+        raise DataError("one RuleParams per rule required")
+    stacked = _ground_corpus(rules, scenes, pair_probs_factory)
+    for rule, p, gr in zip(rules, params, stacked):
+        if len(gr.scene) and len(rule.body) != len(p.weights):
+            raise DataError(
+                f"rule has {len(rule.body)} premises but params carry "
+                f"{len(p.weights)} weights"
+            )
+    return stacked, [p.vector() for p in params]
+
+
+def _score(stacked: list[_StackedGroundings], vecs, n_scenes: int):
+    """Every rule's best clamped affine binding in every scene: (scores, z,
+    rows), each (n_scenes, n_rules), with the score, its affine value and
+    its row in the rule's stacked rows; no binding scores 0.
+
+    The arithmetic is that of one scene at a time, so every bit matches it:
+    matmul over a stack of equal-size blocks makes, for each block, the
+    BLAS call a lone block gets (one GEMV over all rows may round a row
+    differently with the row count), bias and clamp are elementwise, and
+    the best binding is the first row at the block's maximum, or its first
+    NaN, as np.argmax picks it; the score is that row's own value.
+    """
+    scores = np.zeros((n_scenes, len(vecs)))
+    z_best = np.zeros((n_scenes, len(vecs)))
+    row_best = np.zeros((n_scenes, len(vecs)), dtype=np.intp)
+    for r, (gr, v) in enumerate(zip(stacked, vecs)):
+        if not gr.groups:
+            continue
+        z = np.concatenate([(x @ v[:-1]).ravel() for x in gr.groups]) + v[-1]
+        y = np.clip(z, 0.0, 1.0)
+        top = np.repeat(np.maximum.reduceat(y, gr.starts), gr.sizes)
+        at_top = np.where((y == top) | np.isnan(y), np.arange(len(y)), len(y))
+        first = np.minimum.reduceat(at_top, gr.starts)
+        scores[gr.scene, r] = y[first]
+        z_best[gr.scene, r] = z[first]
+        row_best[gr.scene, r] = first
+    return scores, z_best, row_best
 
 
 def evaluate_rule(
@@ -408,16 +493,7 @@ def evaluate_rule(
     No admissible binding (the subject class is absent, or the scene is
     empty) scores 0 with no context.
     """
-    x, ids = ground_rule(rule, scene, pair_probs)
-    if x.shape[0] == 0:
-        return 0.0, None
-    if x.shape[1] != len(params.weights):
-        raise DataError(
-            f"rule has {x.shape[1]} premises but params carry "
-            f"{len(params.weights)} weights"
-        )
-    i, score, _z = _best_binding(x, np.asarray(params.weights), params.bias)
-    return score, {v: int(oid) for v, oid in zip(rule.variables(), ids[i])}
+    return evaluate_rules([rule], [params], scene, pair_probs)[0]
 
 
 def evaluate_rules(
@@ -426,9 +502,29 @@ def evaluate_rules(
     scene: Scene,
     pair_probs,
 ) -> list[tuple[float, GroundingContext | None]]:
-    if len(rules) != len(params):
-        raise DataError("one RuleParams per rule required")
-    return [evaluate_rule(r, p, scene, pair_probs) for r, p in zip(rules, params)]
+    """evaluate_rule for each rule, scoring the scene as a one-scene corpus."""
+    stacked, vecs = _ground_and_check(rules, params, [scene], lambda _scene: pair_probs)
+    scores, _z, rows = _score(stacked, vecs, 1)
+    results = []
+    for r, (rule, gr) in enumerate(zip(rules, stacked)):
+        context = None
+        if len(gr.scene):  # the scene has a binding
+            context = {v: int(oid) for v, oid in zip(rule.variables(), gr.ids[rows[0, r]])}
+        results.append((float(scores[0, r]), context))
+    return results
+
+
+def ruleset_scores(
+    rules: list[RuleAST],
+    params: list[RuleParams],
+    scenes: list[Scene],
+    pair_probs_factory,
+) -> np.ndarray:
+    """Each scene's ruleset score, the first best of its evaluate_rules
+    scores; pair_probs_factory maps a scene to its pair_probs callable."""
+    stacked, vecs = _ground_and_check(rules, params, scenes, pair_probs_factory)
+    scores, _z, _rows = _score(stacked, vecs, len(scenes))
+    return scores[np.arange(len(scenes)), scores.argmax(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -461,59 +557,13 @@ class RuleTrainStats:
     train_acc: float
 
 
-@dataclass(frozen=True)
-class _StackedGroundings:
-    """One rule's groundings over a corpus, for the whole-corpus fit step.
-
-    Block k is the non-empty ground_rule matrix of scene scene[k].  The
-    blocks are ordered by row count, then scene; those of one row count
-    are stacked in one 3-D array of groups.  rows holds all their rows in
-    block order, block k from row starts[k] on, sizes[k] of them.
-    """
-
-    groups: list[np.ndarray]
-    rows: np.ndarray
-    scene: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
-
-
-def _ground_corpus(rules, scenes, pair_probs_factory) -> list[_StackedGroundings]:
-    per_scene = []
-    for scene in scenes:
-        fn = pair_probs_factory(scene)
-        per_scene.append([ground_rule(rule, scene, fn)[0] for rule in rules])
-    stacked = []
-    for r, rule in enumerate(rules):
-        xs = [g[r] for g in per_scene]
-        order = sorted((i for i, x in enumerate(xs) if len(x)), key=lambda i: len(xs[i]))
-        sizes = np.array([len(xs[i]) for i in order], dtype=np.intp)
-        stacked.append(_StackedGroundings(
-            groups=[
-                np.stack([xs[i] for i in same])
-                for _, same in itertools.groupby(order, key=lambda i: len(xs[i]))
-            ],
-            rows=np.concatenate([xs[i] for i in order]) if order else np.zeros((0, len(rule.body))),
-            scene=np.array(order, dtype=np.intp),
-            starts=np.cumsum(sizes) - sizes,
-            sizes=sizes,
-        ))
-    return stacked
-
-
 def _fit_step(stacked: list[_StackedGroundings], vecs, labels):
     """Loss, per-rule gradients and accuracy for flat [b1..bn, c] vectors.
 
-    The whole corpus is scored at once, with the arithmetic of one scene at
-    a time, so every bit matches it:
-      * each scene's block meets the weights in its own matrix-vector
-        product: matmul over a stack of equal-size blocks makes, for each
-        block, the BLAS call a lone block gets, whereas one GEMV over all
-        rows may round a row differently with the row count; bias and
-        clamp are elementwise;
-      * each scene's best binding is the first row attaining its block's
-        maximum, and its best rule the first attaining the scene maximum,
-        as np.argmax picks them;
+    The whole corpus is scored by _score, the scorer infer and eval use;
+    then
+      * each scene's best rule is the first attaining the scene maximum,
+        as np.argmax picks it;
       * the loss is summed in Python in scene order, with math.log;
       * each rule's gradient adds its scenes' contributions in scene order
         to a zero start (np.cumsum adds in sequence; np.sum may pair up).
@@ -521,23 +571,7 @@ def _fit_step(stacked: list[_StackedGroundings], vecs, labels):
     clamp range or where the cross-entropy clip is active.
     """
     n_scenes = len(labels)
-    n_rules = len(vecs)
-    scores = np.zeros((n_scenes, n_rules))
-    z_best = np.zeros((n_scenes, n_rules))
-    row_best = np.zeros((n_scenes, n_rules), dtype=np.intp)
-    for r, (gr, v) in enumerate(zip(stacked, vecs)):
-        if not gr.groups:
-            continue
-        z = np.concatenate([(x @ v[:-1]).ravel() for x in gr.groups]) + v[-1]
-        y = np.clip(z, 0.0, 1.0)
-        top = np.maximum.reduceat(y, gr.starts)
-        # A block whose maximum is NaN has no match; its last row stands in,
-        # and a NaN score never passes the gradient test below.
-        at_top = np.where(y == np.repeat(top, gr.sizes), np.arange(len(y)), len(y) - 1)
-        first = np.minimum.reduceat(at_top, gr.starts)
-        scores[gr.scene, r] = top
-        z_best[gr.scene, r] = z[first]
-        row_best[gr.scene, r] = first
+    scores, z_best, row_best = _score(stacked, vecs, n_scenes)
     scene = np.arange(n_scenes)
     best = scores.argmax(axis=1)
     p = scores[scene, best]
@@ -579,8 +613,7 @@ def ruleset_loss_and_grad(
     range.  Returned per rule in the flat [b1..bn, c] layout.
     """
     labels = _require_labels(scenes)
-    stacked = _ground_corpus(rules, scenes, pair_probs_factory)
-    vecs = [p.vector() for p in params_list]
+    stacked, vecs = _ground_and_check(rules, params_list, scenes, pair_probs_factory)
     loss, grads, _acc = _fit_step(stacked, vecs, labels)
     return loss, grads
 
@@ -619,8 +652,9 @@ def train_rule_params(
 
     Atom probabilities are fixed by the scenes and the relation classifier,
     so they are grounded once up front; each step only re-runs the cheap
-    affine/clamp/max part, over the whole corpus at once (see _fit_step for
-    why that equals a scene-by-scene step bit for bit).  lr = 0 reproduces
+    affine/clamp/max part, over the whole corpus at once, with the scorer
+    that infer and eval use (see _score for why that equals a scene-by-scene
+    step bit for bit).  lr = 0 reproduces
     the initial parameters.
     """
     if not rules:
@@ -631,8 +665,7 @@ def train_rule_params(
     if init is not None and len(init) != len(rules):
         raise DataError("one initial RuleParams per rule required")
     params = init if init is not None else init_rule_params(rules, cfg.seed, cfg.init_jitter)
-    vecs = [p.vector() for p in params]
-    stacked = _ground_corpus(rules, scenes, pair_probs_factory)
+    stacked, vecs = _ground_and_check(rules, params, scenes, pair_probs_factory)
     history: list[RuleTrainStats] = []
     for step in range(cfg.steps):
         loss, grads, acc = _fit_step(stacked, vecs, labels)

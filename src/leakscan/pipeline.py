@@ -9,13 +9,15 @@ decision, and the rule and object binding that produced the score.
 Evaluation compares two scene classifiers on a labeled corpus — the
 no-logic baseline (max suspected-area confidence against the threshold)
 and the full pipeline — in a normal / leak / total table, reports
-detection AP over an IoU grid, and can produce the relation-classifier
-input-ablation table (position / +type / +contour), each variant retrained
-from scratch on identically ablated data.
+detection AP over an IoU grid (scored against the corpus's own detections,
+so 1.0), and can produce the relation-classifier input-ablation table
+(position / +type / +contour), each variant retrained from scratch on
+identically ablated data.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -31,6 +33,7 @@ from .logic import (
     evaluate_rules,
     load_rule_params,
     parse_rules,
+    ruleset_scores,
 )
 from .scene import BBox, ClassLabel, DetectedObject, Scene, bbox_iou
 
@@ -151,13 +154,10 @@ class PipelineConfig:
     relnet_weights_path: str
     rule_params_path: str | None = None  # None: weights inline in the rules file
     threshold: float = 0.5
-    iou_grid: tuple[float, ...] = DEFAULT_IOU_GRID
 
     def __post_init__(self):
         if not (0.0 < self.threshold < 1.0):
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
-        if not self.iou_grid or any(not (0.0 < t <= 1.0) for t in self.iou_grid):
-            raise ConfigError("iou_grid values must lie in (0, 1]")
 
     def to_dict(self) -> dict:
         return {
@@ -165,21 +165,21 @@ class PipelineConfig:
             "relnet_weights": self.relnet_weights_path,
             "rule_params": self.rule_params_path,
             "threshold": self.threshold,
-            "iou_grid": list(self.iou_grid),
         }
 
 
 def config_hash(cfg: PipelineConfig) -> str:
-    canon = json.dumps(cfg.to_dict(), sort_keys=True)
+    # Configs once carried an AP grid; its default stays in the hashed form,
+    # so every config hashes as it did then.
+    canon = json.dumps({**cfg.to_dict(), "iou_grid": list(DEFAULT_IOU_GRID)}, sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def load_pipeline_config(path: str) -> PipelineConfig:
     """Read a pipeline config JSON; relative paths resolve against the file.
 
-    ``threshold`` and the ``iou_grid`` entries must be JSON numbers, not
-    strings or booleans; a bad value raises a ConfigError naming its key
-    and, in ``iou_grid``, its index."""
+    ``threshold`` must be a JSON number, not a string or a boolean; a bad
+    value raises a ConfigError naming the key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -196,7 +196,7 @@ def load_pipeline_config(path: str) -> PipelineConfig:
             return None
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    known = {"rules", "relnet_weights", "rule_params", "threshold", "iou_grid"}
+    known = {"rules", "relnet_weights", "rule_params", "threshold"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown pipeline config keys: {', '.join(sorted(unknown))}")
@@ -207,28 +207,21 @@ def load_pipeline_config(path: str) -> PipelineConfig:
             and isinstance(doc.get("rule_params"), (str, type(None)))):
         raise ConfigError("pipeline config paths must be strings (rule_params may be null)")
 
-    def number(v, where):
-        # JSON numbers only: a string or a boolean is not read as one.
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(
-                f"bad pipeline config value at {where}: expected a number, got {v!r:.40}"
-            )
-        try:
-            return float(v)
-        except OverflowError as e:  # an integer beyond the float range
-            raise ConfigError(f"bad pipeline config value at {where}: {e}") from None
-
-    grid = doc.get("iou_grid", list(DEFAULT_IOU_GRID))
-    if not isinstance(grid, list):
+    threshold = doc.get("threshold", 0.5)
+    # JSON numbers only: a string or a boolean is not read as one.
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
         raise ConfigError(
-            f"bad pipeline config value at iou_grid: expected a list, got {grid!r:.40}"
+            f"bad pipeline config value at threshold: expected a number, got {threshold!r:.40}"
         )
+    try:
+        threshold = float(threshold)
+    except OverflowError as e:  # an integer beyond the float range
+        raise ConfigError(f"bad pipeline config value at threshold: {e}") from None
     return PipelineConfig(
         rules_path=resolve(doc["rules"]),
         relnet_weights_path=resolve(doc["relnet_weights"]),
         rule_params_path=resolve(doc.get("rule_params")),
-        threshold=number(doc.get("threshold", 0.5), "threshold"),
-        iou_grid=tuple(number(v, f"iou_grid[{i}]") for i, v in enumerate(grid)),
+        threshold=threshold,
     )
 
 
@@ -391,68 +384,21 @@ def baseline_score(scene: Scene) -> float:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Scene-classification quality in normal / leak / total form."""
-
-    leak_precision: float
-    leak_recall: float
-    leak_f1: float
-    normal_precision: float
-    normal_recall: float
-    normal_f1: float
-    total_precision: float
-    total_recall: float
-    total_f1: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def to_dict(self) -> dict:
-        return {
-            "leak": {
-                "precision": self.leak_precision,
-                "recall": self.leak_recall,
-                "f1": self.leak_f1,
-            },
-            "normal": {
-                "precision": self.normal_precision,
-                "recall": self.normal_recall,
-                "f1": self.normal_f1,
-            },
-            "total": {
-                "precision": self.total_precision,
-                "recall": self.total_recall,
-                "f1": self.total_f1,
-            },
-            "confusion": {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn},
-        }
-
-
-def scene_classification_report(y_true: list[bool], y_pred: list[bool]) -> EvalReport:
+def scene_classification_report(y_true: list[bool], y_pred: list[bool]) -> dict:
     """Per-class and macro-averaged metrics for leak-vs-normal decisions."""
     tp = sum(1 for t, p in zip(y_true, y_pred) if t and p)
     fp = sum(1 for t, p in zip(y_true, y_pred) if not t and p)
     tn = sum(1 for t, p in zip(y_true, y_pred) if not t and not p)
     fn = sum(1 for t, p in zip(y_true, y_pred) if t and not p)
-    lp, lr, lf = _prf(tp, fp, fn)
-    np_, nr, nf = _prf(tn, fn, fp)  # the normal class swaps the error roles
-    return EvalReport(
-        leak_precision=lp,
-        leak_recall=lr,
-        leak_f1=lf,
-        normal_precision=np_,
-        normal_recall=nr,
-        normal_f1=nf,
-        total_precision=(lp + np_) / 2,
-        total_recall=(lr + nr) / 2,
-        total_f1=(lf + nf) / 2,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-    )
+    leak = _prf(tp, fp, fn)
+    normal = _prf(tn, fn, fp)  # the normal class swaps the error roles
+    total = tuple((a + b) / 2 for a, b in zip(leak, normal))
+    report = {
+        name: dict(zip(("precision", "recall", "f1"), prf))
+        for name, prf in (("leak", leak), ("normal", normal), ("total", total))
+    }
+    report["confusion"] = {"tp": tp, "fp": fp, "tn": tn, "fn": fn}
+    return report
 
 
 def _detections_for_ap(scenes: list[Scene]):
@@ -465,16 +411,13 @@ def _detections_for_ap(scenes: list[Scene]):
     return preds
 
 
-def run_eval(
-    pipe: Pipeline,
-    scenes: list[Scene],
-    gt_scenes: list[Scene] | None = None,
-) -> dict:
+def run_eval(pipe: Pipeline, scenes: list[Scene]) -> dict:
     """Score a labeled corpus with the baseline and the full pipeline.
 
-    gt_scenes provides detection ground truth for the AP block; when
-    omitted the corpus's own objects serve as ground truth (exact for
-    synthetic corpora, where detections are the generator's output).
+    The pipeline's scores are run_inference's leak probabilities, bit for
+    bit.  The AP block takes the corpus's own objects as ground truth
+    (exact for synthetic corpora, where detections are the generator's
+    output), so it reads 1.0.
     """
     if not scenes:
         raise DataError("evaluation corpus is empty")
@@ -484,41 +427,37 @@ def run_eval(
             raise DataError(f"scene {i} has no leak label; evaluation needs labels")
         labels.append(s.leak_label)
     tau = pipe.config.threshold
-    pipe_scores = [run_inference(pipe, s)["leak_probability"] for s in scenes]
+    pipe_scores = ruleset_scores(
+        pipe.rules, pipe.rule_params, scenes,
+        functools.partial(scene_pair_probs, pipe.relnet_params),
+    )
     base_scores = [baseline_score(s) for s in scenes]
-    pipe_report = scene_classification_report(labels, [p >= tau for p in pipe_scores])
     base_report = scene_classification_report(labels, [b >= tau for b in base_scores])
-    gt_dets = _detections_for_ap(gt_scenes if gt_scenes is not None else scenes)
-    gt = [(i, box) for i, _conf, box in gt_dets]
+    pipe_report = scene_classification_report(labels, [p >= tau for p in pipe_scores])
     preds = _detections_for_ap(scenes)
+    gt = [(i, box) for i, _conf, box in preds]
     ap = {
         "ap50": ap_at_iou(preds, gt, 0.50),
         "ap75": ap_at_iou(preds, gt, 0.75),
-        "map": mean_ap(preds, gt, pipe.config.iou_grid),
+        "map": mean_ap(preds, gt),
     }
     rows = [
-        {"model": "confidence-threshold baseline", **_row(base_report)},
-        {"model": "relations + rules pipeline", **_row(pipe_report)},
+        {"model": model, "normal_f1": report["normal"]["f1"],
+         "leak_f1": report["leak"]["f1"], "total_f1": report["total"]["f1"]}
+        for model, report in (("confidence-threshold baseline", base_report),
+                              ("relations + rules pipeline", pipe_report))
     ]
     return {
         "config_hash": pipe.hash,
         "n_scenes": len(scenes),
         "threshold": tau,
-        "baseline": base_report.to_dict(),
-        "pipeline": pipe_report.to_dict(),
+        "baseline": base_report,
+        "pipeline": pipe_report,
         "detection_ap": ap,
         "table": rows,
         "table_text": render_table(
             rows, ["model", "normal_f1", "leak_f1", "total_f1"]
         ),
-    }
-
-
-def _row(report: EvalReport) -> dict:
-    return {
-        "normal_f1": report.normal_f1,
-        "leak_f1": report.leak_f1,
-        "total_f1": report.total_f1,
     }
 
 

@@ -490,6 +490,7 @@ def _conv1_pool_forward(x, w, b, ws=None):
 
 
 _CONV2_CHUNK = 1024  # distinct im2col rows per conv2 GEMM
+_PREDICT_CHUNK = 256  # samples per predict_batch forward pass
 
 
 def _conv2_pool_forward(table1, cells, w, b, ws=None):
@@ -777,9 +778,9 @@ def predict(
 
 
 def predict_batch(
-    params: RelNetParams, samples: list[PairSample], batch_size: int = 256
+    params: RelNetParams, samples: list[PairSample]
 ) -> tuple[list[RelationLabel], np.ndarray]:
-    """Batched predict over samples, in chunks of batch_size.
+    """Batched predict over samples, in chunks of _PREDICT_CHUNK.
 
     The conv layers give each sample the same values whatever its
     batch-mates, but the fully connected GEMMs may round a last bit
@@ -788,8 +789,8 @@ def predict_batch(
     not bit for bit.  Labels come from the same argmax as predict.
     """
     probs = []
-    for start in range(0, len(samples), batch_size):
-        rasters, vecs = _stack_batch(params.config, samples[start : start + batch_size])
+    for start in range(0, len(samples), _PREDICT_CHUNK):
+        rasters, vecs = _stack_batch(params.config, samples[start : start + _PREDICT_CHUNK])
         *_, y, _cache = _forward_batch(params, rasters, vecs)
         probs.append(y)
     y = np.concatenate(probs) if probs else np.zeros((0, params.config.n_classes))

@@ -205,7 +205,7 @@ def _parse_object(data, path: str) -> DetectedObject:
     _expect(isinstance(data, dict), path, "expected an object record")
     for key in ("id", "class", "score", "bbox", "polygon"):
         _expect(key in data, path, f"missing field {key!r}")
-    _expect(isinstance(data["id"], int), f"{path}.id", "expected an integer")
+    _expect(type(data["id"]) is int, f"{path}.id", "expected an integer")  # not a bool
     _expect(isinstance(data["class"], str), f"{path}.class", "expected a string")
     try:
         label = ClassLabel.parse(data["class"])

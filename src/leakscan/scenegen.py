@@ -428,7 +428,32 @@ def write_pairs_jsonl(pairs: list[LabeledPair], path: str) -> None:
             f.write(json.dumps(doc) + "\n")
 
 
+#: Exact types of a pair record's fields: a bool is no id, 28.0 no grid.
+_PAIR_TYPES = {
+    "scene": (str,), "subject": (int,), "reference": (int,), "grid": (int,),
+    "label": (str, type(None)),
+}
+
+
+def _pair_vectors(doc) -> list[np.ndarray]:
+    """Check a decoded pair record's field types; return its raster, v_poi
+    and v_cls, each a flat list of JSON numbers, as float64 arrays."""
+    for key, kinds in _PAIR_TYPES.items():
+        if type(doc[key]) not in kinds:
+            raise TypeError(f"{key}: expected {' or '.join(k.__name__ for k in kinds)}, "
+                            f"got {doc[key]!r:.40}")
+    vectors = []
+    for key in ("raster", "v_poi", "v_cls"):
+        v = doc[key]
+        if type(v) is not list or not set(map(type, v)) <= {int, float}:
+            raise TypeError(f"{key}: expected a list of numbers")
+        vectors.append(np.asarray(v, dtype=np.float64))
+    return vectors
+
+
 def read_pairs_jsonl(path: str) -> list[LabeledPair]:
+    """Read a file written by write_pairs_jsonl.  A malformed or retyped
+    record raises a DataError naming the file, the line and the field."""
     pairs: list[LabeledPair] = []
     with open(path, "rb") as f:  # decoded per line, so bad bytes get a line number
         for line_no, line in enumerate(f, start=1):
@@ -436,22 +461,20 @@ def read_pairs_jsonl(path: str) -> list[LabeledPair]:
                 continue
             try:
                 doc = json.loads(line.decode("utf-8"))
-                grid = int(doc["grid"])
-                raster = MaskRaster(
-                    grid, grid, np.asarray(doc["raster"], dtype=np.float64).reshape(grid, grid)
-                )
+                raster, v_poi, v_cls = _pair_vectors(doc)
+                grid = doc["grid"]
                 sample = PairSample(
-                    raster=raster,
-                    v_poi=np.asarray(doc["v_poi"], dtype=np.float64),
-                    v_cls=np.asarray(doc["v_cls"], dtype=np.float64),
-                    label=RelationLabel.parse(doc["label"]) if doc["label"] else None,
+                    raster=MaskRaster(grid, grid, raster.reshape(grid, grid)),
+                    v_poi=v_poi,
+                    v_cls=v_cls,
+                    label=None if doc["label"] is None else RelationLabel.parse(doc["label"]),
                 )
                 pairs.append(
                     LabeledPair(
                         sample=sample,
-                        scene=str(doc["scene"]),
-                        subject_id=int(doc["subject"]),
-                        reference_id=int(doc["reference"]),
+                        scene=doc["scene"],
+                        subject_id=doc["subject"],
+                        reference_id=doc["reference"],
                     )
                 )
             except (KeyError, ValueError, TypeError, OverflowError) as e:

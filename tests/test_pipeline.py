@@ -1,10 +1,13 @@
 """Tests for metrics, AP, pipeline loading, inference and evaluation."""
 
+import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from leakscan import logic
 from leakscan import relnet as rn
 from leakscan.errors import ConfigError, DataError
 from leakscan.logic import RuleParams, parse_rules, save_rule_params
@@ -112,20 +115,20 @@ def test_multiclass_f1_hand_values():
 
 def test_scene_classification_report_hand_values():
     r = scene_classification_report([True, True, False, False], [True, False, True, False])
-    assert (r.tp, r.fp, r.tn, r.fn) == (1, 1, 1, 1)
-    assert r.leak_f1 == r.normal_f1 == r.total_f1 == 0.5
-    d = r.to_dict()
-    assert d["confusion"] == {"tp": 1, "fp": 1, "tn": 1, "fn": 1}
-    assert d["leak"]["precision"] == 0.5
+    assert r["confusion"] == {"tp": 1, "fp": 1, "tn": 1, "fn": 1}
+    assert r["leak"]["f1"] == r["normal"]["f1"] == r["total"]["f1"] == 0.5
+    assert r["leak"]["precision"] == 0.5
+    assert list(r) == ["leak", "normal", "total", "confusion"]
+    assert all(list(r[c]) == ["precision", "recall", "f1"] for c in ("leak", "normal", "total"))
 
 
 def test_scene_classification_report_degenerate_is_zero_safe():
     r = scene_classification_report([False, False], [False, False])
-    assert r.leak_f1 == 0.0
-    assert r.normal_f1 == 1.0
-    assert r.total_f1 == 0.5
+    assert r["leak"]["f1"] == 0.0
+    assert r["normal"]["f1"] == 1.0
+    assert r["total"]["f1"] == 0.5
     perfect = scene_classification_report([True, False], [True, False])
-    assert perfect.total_f1 == 1.0
+    assert perfect["total"]["f1"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +246,8 @@ def test_ap_matches_independent_oracle_on_random_corpora():
 def test_pipeline_config_validation():
     with pytest.raises(ConfigError, match="threshold"):
         PipelineConfig(rules_path="r", relnet_weights_path="w", threshold=0.0)
-    with pytest.raises(ConfigError, match="iou_grid"):
-        PipelineConfig(rules_path="r", relnet_weights_path="w", iou_grid=(0.5, 1.2))
+    with pytest.raises(ConfigError, match="threshold"):
+        PipelineConfig(rules_path="r", relnet_weights_path="w", threshold=1.0)
 
 
 def test_config_hash_tracks_content():
@@ -273,7 +276,6 @@ def test_load_pipeline_config_resolves_relative_paths(tmp_path):
     assert cfg.relnet_weights_path == "/abs/net.json"
     assert cfg.rule_params_path is None
     assert cfg.threshold == 0.7
-    assert cfg.iou_grid == DEFAULT_IOU_GRID
 
 
 def test_load_pipeline_config_errors(tmp_path):
@@ -285,6 +287,10 @@ def test_load_pipeline_config_errors(tmp_path):
         load_pipeline_config(str(p))
     p.write_text(json.dumps({"rules": "r", "relnet_weights": "w", "color": "red"}))
     with pytest.raises(ConfigError, match="unknown pipeline config keys: color"):
+        load_pipeline_config(str(p))
+    # AP is scored against the corpus's own detections, so no grid is read.
+    p.write_text(json.dumps({"rules": "r", "relnet_weights": "w", "iou_grid": [0.5]}))
+    with pytest.raises(ConfigError, match="unknown pipeline config keys: iou_grid"):
         load_pipeline_config(str(p))
     p.write_text(json.dumps({"rules": "r"}))
     with pytest.raises(ConfigError, match="missing required key 'relnet_weights'"):
@@ -298,30 +304,18 @@ def test_load_pipeline_config_errors(tmp_path):
         with pytest.raises(ConfigError, match="paths must be strings"):
             load_pipeline_config(str(p))
     p.write_text('{"rules": "r", "relnet_weights": "w", "threshold": 1%s}' % ("0" * 400))
-    with pytest.raises(ConfigError, match="bad pipeline config value"):
+    with pytest.raises(ConfigError, match=r"value at threshold: int too large"):
         load_pipeline_config(str(p))
     p.write_text('{"rules": "r", "relnet_weights": "w", "threshold": 1%s}' % ("0" * 5000))
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_pipeline_config(str(p))
     # Only JSON numbers are numbers: strings and booleans are rejected with
-    # the key and index, not converted.
-    for extra, where in (
-        ({"threshold": "0.5"}, "threshold"),
-        ({"threshold": True}, "threshold"),
-        ({"threshold": None}, "threshold"),
-        ({"iou_grid": [True]}, r"iou_grid\[0\]"),
-        ({"iou_grid": [0.5, "0.75"]}, r"iou_grid\[1\]"),
-        ({"iou_grid": [0.5, 0.75, False]}, r"iou_grid\[2\]"),
-        ({"iou_grid": "0.5"}, "iou_grid: expected a list"),
-        ({"iou_grid": 0.5}, "iou_grid: expected a list"),
-    ):
-        p.write_text(json.dumps({"rules": "r", "relnet_weights": "w", **extra}))
-        with pytest.raises(ConfigError, match="bad pipeline config value at " + where):
+    # the key, not converted.
+    for bad in ("0.5", True, False, None, [0.5], {"value": 0.5}):
+        p.write_text(json.dumps({"rules": "r", "relnet_weights": "w", "threshold": bad}))
+        with pytest.raises(ConfigError, match="bad pipeline config value at threshold"):
             load_pipeline_config(str(p))
-    p.write_text('{"rules": "r", "relnet_weights": "w", "iou_grid": [0.5, 1%s]}' % ("0" * 400))
-    with pytest.raises(ConfigError, match=r"value at iou_grid\[1\]: int too large"):
-        load_pipeline_config(str(p))
-    p.write_text(json.dumps({"rules": "r", "relnet_weights": "w", "threshold": 1, "iou_grid": [1]}))
+    p.write_text(json.dumps({"rules": "r", "relnet_weights": "w", "threshold": 1}))
     with pytest.raises(ConfigError, match="threshold must be in"):  # an int is a number
         load_pipeline_config(str(p))
 
@@ -336,28 +330,19 @@ def test_load_pipeline_config_fuzz_raises_only_located_errors(tmp_path, text_mut
         "relnet_weights": "/abs/net.npz",
         "rule_params": "params.json",
         "threshold": 0.7,
-        "iou_grid": [0.5, 0.75],
     }
     text = json.dumps(doc, indent=2)
     again = tmp_path / "again.json"
     rng = np.random.default_rng(18)
     outcomes = {"loaded": 0, "rejected": 0}
-    # Every fourth case puts a string or a boolean in place of the threshold,
-    # a grid entry or the whole grid, which must be rejected.
+    # Every fourth case puts a string or a boolean in place of the
+    # threshold, which must be rejected.
     typed = ("0.7", "0.5", "", "1e999", True, False)
     for i in range(1200):
         retyped = i % 4 == 3
         if retyped:
             bad = typed[int(rng.integers(0, len(typed)))]
-            changed = dict(doc, iou_grid=list(doc["iou_grid"]))
-            target = int(rng.integers(0, 4))
-            if target == 0:
-                changed["threshold"] = bad
-            elif target == 3:
-                changed["iou_grid"] = bad
-            else:
-                changed["iou_grid"][target - 1] = bad
-            mutated = json.dumps(changed, indent=2)
+            mutated = json.dumps(dict(doc, threshold=bad), indent=2)
         else:
             mutated = text_mutator(rng, text)
         path.write_text(mutated, encoding="utf-8")
@@ -573,6 +558,40 @@ def test_run_eval_input_checks(tmp_path):
     unlabeled = Scene(image_width=64, image_height=64, objects=())
     with pytest.raises(DataError, match="scene 0 has no leak label"):
         run_eval(pipe, [unlabeled])
+
+
+def test_corpus_scores_match_per_scene_inference_bit_for_bit(tmp_path):
+    """The corpus scorer eval uses gives every scene run_inference's leak
+    probability bit for bit, whatever the scene's block shares its stack
+    with; the eval report counts the decisions those probabilities make."""
+    pipe = load_pipeline(write_pipeline_files(tmp_path))
+    gen = GenConfig(tanks=(0, 2), blobs=(0, 3), distractor_prob=0.5, seed=52)
+    scenes = gen_scenes(gen, 40)
+    scenes.insert(7, Scene(image_width=64, image_height=64, objects=(), leak_label=False))
+    scenes.insert(20, Scene(
+        image_width=100, image_height=100, leak_label=False,
+        objects=(box_object(1, ClassLabel.GROUND, 0, 80, 100, 100),
+                 box_object(2, ClassLabel.OIL_STORAGE_DEVICE, 70, 50, 90, 80)),
+    ))
+    factory = functools.partial(scene_pair_probs, pipe.relnet_params)
+    stacked = logic._ground_corpus(pipe.rules, scenes, factory)
+    for gr in stacked:  # scenes without a binding, and blocks of equal and of unequal sizes
+        assert len(gr.scene) < len(scenes)
+        assert len(gr.groups) > 1 and max(len(g) for g in gr.groups) > 1
+    rng = np.random.default_rng(53)
+    dyadic = [RuleParams.from_vector(rng.integers(-4, 9, len(r.body) + 1) / 8.0) for r in pipe.rules]
+    for params in (pipe.rule_params, dyadic):  # dyadic weights tie bindings and rules exactly
+        case = dataclasses.replace(pipe, rule_params=params)
+        want = np.array([run_inference(case, s)["leak_probability"] for s in scenes])
+        got = logic.ruleset_scores(case.rules, case.rule_params, scenes, factory)
+        assert got.tobytes() == want.tobytes()
+        decisions = [bool(p >= case.config.threshold) for p in want]
+        assert run_eval(case, scenes)["pipeline"]["confusion"] == {
+            "tp": sum(d and s.leak_label for d, s in zip(decisions, scenes)),
+            "fp": sum(d and not s.leak_label for d, s in zip(decisions, scenes)),
+            "tn": sum(not d and not s.leak_label for d, s in zip(decisions, scenes)),
+            "fn": sum(not d and s.leak_label for d, s in zip(decisions, scenes)),
+        }
 
 
 def test_render_table_formatting():

@@ -265,6 +265,12 @@ def test_scene_json_optional_fields_default():
         ),
         pytest.param('{"width": true, "height": 4, "objects": []}', r"\$.width", id="width-bool"),
         pytest.param(
+            '{"width": 10, "height": 10, "objects": [{"id": true, "class": "ground",'
+            ' "score": 0.5, "bbox": [0, 0, 5, 5], "polygon": [[0, 0], [5, 0], [5, 5]]}]}',
+            r"\$.objects\[0\].id: expected an integer",
+            id="id-bool",
+        ),
+        pytest.param(
             '{"width": 1' + "0" * 5000 + ', "height": 4, "objects": []}', "malformed JSON",
             id="width-too-many-digits",
         ),

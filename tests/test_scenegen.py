@@ -1,6 +1,7 @@
 """Tests for the synthetic scene generator and pair-dataset harvesting."""
 
 import collections
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -305,11 +306,23 @@ def test_pairs_jsonl_bad_line_reports_location(tmp_path):
     first, second = path.read_text().splitlines()
     # Numbers no float or int can hold: 1e999 reads as inf, then a grid or an
     # object id cannot convert it; a 400-digit integer overflows a float.
+    # Retyped fields are rejected, not coerced: a float id or grid, a null
+    # scene, a boolean label, a string or a boolean inside a vector.
     for bad in (
         second.replace('"grid": 28', '"grid": 1e999'),
         second.replace('"subject": ', '"subject": 1e999, "x": '),
         second.replace('"raster": [', '"raster": [1' + "0" * 400 + ", ", 1),
+        second.replace('"subject": ', '"subject": 1.9, "x": '),
+        second.replace('"grid": 28', '"grid": 28.0'),
+        second.replace('"scene": ', '"scene": null, "x": '),
+        re.sub(r'"label": "[a-z]+"', '"label": false', second),
+        *(
+            re.sub(rf'"{key}": \[([^,\]]+)', rf'"{key}": [{value}', second, count=1)
+            for key in ("raster", "v_poi", "v_cls")
+            for value in (r'"\1"', "true", "false")
+        ),
     ):
+        assert bad != second
         path.write_text(first + "\n" + bad + "\n")
         with pytest.raises(DataError, match=r"pairs.jsonl:2: bad pair record"):
             read_pairs_jsonl(str(path))
