@@ -619,6 +619,8 @@ def ruleset_loss_and_grad(
 
 
 def _require_labels(scenes: list[Scene]) -> list[bool]:
+    if not scenes:
+        raise DataError("training needs labeled scenes, got an empty scene list")
     labels = []
     for i, s in enumerate(scenes):
         if s.leak_label is None:

@@ -14,9 +14,10 @@ elementwise max, and ReLU is applied to the pooled map.  This equals
 conv -> ReLU -> max-pool without building the full-resolution conv output.
 Each pooled gradient goes to the first phase in row-major window order that
 attains the max, so ties go to the first phase, and to no phase where ReLU
-is inactive.  The forward pass records that phase, or none, per pooled
-cell, and the backward pass scatters the gradient there in one pass, as
-Caffe's max-pooling layer does with its recorded argmax.
+is inactive.  That phase, or none, is the recorded phase of a pooled
+value, as Caffe's max-pooling layer records its argmax; the forward pass
+returns a function that finds it, which only the backward pass calls, so
+inference does not pay for it.
 
 conv1 reads a one-channel raster with only three levels (0, 0.5, 1), and
 each of its pooled cells depends only on one 4x4 window of the padded
@@ -42,18 +43,24 @@ This is exact for the same reason: the GEMM gives a row the same value
 whatever its row-mates, as long as it has at least one (BLAS hands a
 one-row product to a matrix-vector kernel that sums in another order), and
 the tests check both tables bit for bit against the per-phase layer at the
-network's sizes.  Inference therefore never builds conv1's pooled map
-(batch, 14, 14, F), the largest array of the forward pass; only training,
-whose backward pass reads it, and ``forward``, which returns it, gather it.
+network's sizes.  No pass builds conv1's pooled map (batch, 14, 14, F), the
+largest array of the forward pass; only ``forward``, which returns it,
+gathers it.
 
-A training step writes several arrays of megabytes: conv1's pooled map and
-recorded phases, and in the backward pass the full-resolution gradient,
-its phase mask, the im2col rows, conv2's column gradient and its input
-gradient.  ``train`` allocates them once, in one workspace that every step
-reuses, as Caffe allocates each layer's buffers once.  Allocated afresh,
-they cost page faults each step whenever the allocator had returned their
-memory to the system, so a step's speed depended on what the process had
-allocated before.
+The backward pass works on the same tables, since the adjoint of a gather
+is a sum by index.  Each pooled gradient of conv2 goes to the distinct row
+its recorded phase read; summed per row, that gives G, and the weight
+gradient is the rows' transpose times G.  The gradient of conv1's table is
+G times conv2's weights transposed, its nine slices summed by the table
+index each read.  A table row's recorded phases are its cells' phases, so
+conv1's weight gradient is, per phase, that phase's windows of the table's
+representatives times the table gradient where the row recorded the phase.
+Nothing is built at full resolution, so a step allocates only table-sized
+arrays.  A weight gradient sums over a data-dependent number of rows, and
+OpenBLAS sums a long product differently at different thread counts, so
+every weight-gradient product runs in fixed blocks of at most 256 rows,
+added in order; the tests check that training gives the same weight bytes
+at 1, 2 and 4 threads.
 
 Everything is plain numpy with hand-written backpropagation; gradients are
 verified against central finite differences in the tests.  All computation
@@ -70,6 +77,7 @@ import math
 import zipfile
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -354,73 +362,43 @@ def _pair_sample(subject, reference, sub, ref, img_w, img_h, label=None):
 # ---------------------------------------------------------------------------
 
 _POOL_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))  # (di, dj), row-major
-# Phase number 2*di + dj at axes di and dj of a (batch, i, di, j, dj, f) view.
-_PHASE_GRID = np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)
 _NO_PHASE = 4  # recorded where ReLU is inactive: no phase gets the gradient
 
 
-class _Workspace:
-    """Buffers for the large arrays of the training steps of one train call
-    (see the module docstring), kept by role, such as "dfull".
-
-    ``array(role, shape, dtype)`` is a C-contiguous prefix view of the
-    role's flat buffer, which grows only when a request does not fit it: a
-    training run allocates each buffer in its first step, whose batch is
-    the largest, and both conv layers and the smaller last batch reuse it.
-    Each role keeps one dtype.  An array is valid until the next request
-    for its role.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def array(self, role: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        n = math.prod(shape)
-        buf = self._buffers.get(role)
-        if buf is None or buf.size < n:
-            buf = self._buffers[role] = np.empty(n, dtype)
-        return buf[:n].reshape(shape)
-
-
-def _im2col(xp, kh, kw, stride, oh, ow, out):
-    """im2col rows for output positions (i*stride, j*stride), written into
-    ``out``, a C-contiguous (batch*oh*ow, kh*kw*cin) array, and returned."""
-    batch, _, _, cin = xp.shape
-    s0, s1, s2, s3 = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(batch, oh, ow, kh, kw, cin),
-        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
-    )
-    np.copyto(out.reshape(win.shape), win)
-    return out
-
-
-def _phase_max_relu(rows, filters, fill_phase, record):
+def _phase_max_relu(rows, filters, fill_phase):
     """ReLU of the max over the four pool phases of the conv output.
 
     ``fill_phase(phase, out)`` writes the (rows, filters) map of phase
     (di, dj) = _POOL_PHASES[phase], bias included, into ``out``; one buffer
-    serves phases 1 to 3.  With record=True also returns, per cell, the
-    first phase attaining the max (strict >, so ties go to the earlier
-    phase), or _NO_PHASE where the ReLU output is not positive; else None.
+    serves phases 1 to 3.
     """
     pooled = np.empty((rows, filters))
     phase_out = np.empty_like(pooled)
-    idx = np.zeros(pooled.shape, dtype=np.uint8) if record else None
     for phase in range(len(_POOL_PHASES)):
         out = pooled if phase == 0 else phase_out
         fill_phase(phase, out)
         if phase:
-            if record:
-                # idx < phase here, so this sets idx to phase exactly where
-                # the phase is strictly larger (a masked copy is much slower).
-                np.maximum(idx, (phase_out > pooled) * np.uint8(phase), out=idx)
             np.maximum(pooled, phase_out, out=pooled)
     np.maximum(pooled, 0.0, out=pooled)
-    if record:
-        idx[~(pooled > 0)] = _NO_PHASE
-    return pooled, idx
+    return pooled
+
+
+def _recorded_phases(pooled, fill_phase):
+    """Per value of ``pooled``, which _phase_max_relu made with
+    ``fill_phase``, the phase that gets its gradient: the first phase in
+    row-major window order that attains the max, or _NO_PHASE where the
+    ReLU output is not positive.  There the pooled value is the max itself
+    and ``fill_phase`` gives the same bits again, so the phase is the number
+    of phases before the first whose map equals it; only the last phase is
+    left when no other matched."""
+    settled = ~(pooled > 0)
+    phases = settled * np.uint8(_NO_PHASE)
+    phase_out = np.empty_like(pooled)
+    for phase in range(len(_POOL_PHASES) - 1):
+        fill_phase(phase, phase_out)
+        settled |= phase_out == pooled
+        phases += ~settled
+    return phases
 
 
 def _distinct_rows(keys):
@@ -442,7 +420,32 @@ def _distinct_rows(keys):
     return first, inverse
 
 
-def _conv1_pool_forward(x, w, b, ws=None):
+def _segment_sum(index, values, n):
+    """(n, f) sums of the entries of ``values`` (m, f) by row index, which
+    ``index`` gives per row (m, 1) or per entry (m, f).  Each sum adds in
+    the entries' order from +0.0, so no sum is -0.0."""
+    f = values.shape[1]
+    flat = (index * f + np.arange(f)).ravel()
+    return np.bincount(flat, values.ravel(), n * f).reshape(n, f)
+
+
+def _weight_grad(a, g, index=None):
+    """``a.T @ g``, or with an index ``a[index].T @ g`` with the rows of
+    ``a[index]`` flattened, summed over in-order blocks of _GRAD_BLOCK rows:
+    a fixed split whatever the thread count (see the module docstring)."""
+    total = None
+    for lo in range(0, len(g), _GRAD_BLOCK):
+        hi = min(lo + _GRAD_BLOCK, len(g))
+        block = a[lo:hi] if index is None else a[index[lo:hi]].reshape(hi - lo, -1)
+        part = block.T @ g[lo:hi]
+        if total is None:
+            total = part
+        else:
+            total += part
+    return total
+
+
+def _conv1_pool_forward(x, w, b):
     """conv1 -> pool -> ReLU (3x3, stride 1, same padding) for three-level
     rasters, evaluated once per distinct input window.
 
@@ -451,9 +454,9 @@ def _conv1_pool_forward(x, w, b, ws=None):
     (16 digits of 2x) and the per-phase layer runs on one representative of
     each distinct code.  Returns that table, each cell's table index (an
     int64 (batch, h/2, w/2) array of values below 3**16, equal for two cells
-    exactly when their windows are) and, in training (with a workspace), the
-    cache ``(xp, idx, 1, 1)`` that _conv_pool_backward reads, its recorded
-    phases gathered into the workspace; else None.  The pooled map is
+    exactly when their windows are) and the cache ``(windows, phases)`` that
+    _conv1_pool_backward reads: the representative windows and a function
+    that returns each table row's recorded phases.  The pooled map is
     ``table[cells]``.
     """
     batch, h, wd, _ = x.shape
@@ -470,7 +473,7 @@ def _conv1_pool_forward(x, w, b, ws=None):
     _, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
     s0, s1, s2, s3 = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(batch, ph, pw, 4, 4, 1), strides=(s0, 2 * s1, 2 * s2, s1, s2, s3)
+        xp, shape=(batch, ph, pw, 4, 4), strides=(s0, 2 * s1, 2 * s2, s1, s2)
     )
     rep = windows[np.unravel_index(first, (batch, ph, pw))]
     w_mat = w.reshape(9, filters)
@@ -480,20 +483,32 @@ def _conv1_pool_forward(x, w, b, ws=None):
         np.matmul(rep[:, di : di + 3, dj : dj + 3].reshape(len(first), 9), w_mat, out=out)
         out += b
 
-    table, table_idx = _phase_max_relu(len(first), filters, fill_phase, ws is not None)
-    cells = inverse.reshape(batch, ph, pw)
-    if ws is None:
-        return table, cells, None
-    idx = ws.array("phases", (batch, ph, pw, filters), np.uint8)
-    np.take(table_idx, cells, axis=0, out=idx, mode="clip")  # "raise" buffers the output
-    return table, cells, (xp, idx, 1, 1)
+    table = _phase_max_relu(len(first), filters, fill_phase)
+    phases = partial(_recorded_phases, table, fill_phase)
+    return table, inverse.reshape(batch, ph, pw), (rep, phases)
+
+
+def _conv1_pool_backward(dtable, w, cache):
+    """Gradients of conv1's weights and bias from ``dtable``, the gradient of
+    its table.  A table row's recorded phases are its cells' phases, so each
+    phase's share of ``dtable`` meets that phase's 3x3 windows of the table's
+    representatives in one product."""
+    rep, recorded = cache
+    phases = recorded()
+    dw = db = 0.0
+    for phase, (di, dj) in enumerate(_POOL_PHASES):
+        g = np.where(phases == phase, dtable, 0.0)
+        dw = dw + _weight_grad(rep[:, di : di + 3, dj : dj + 3].reshape(len(rep), 9), g)
+        db = db + g.sum(axis=0)
+    return dw.reshape(w.shape), db
 
 
 _CONV2_CHUNK = 1024  # distinct im2col rows per conv2 GEMM
+_GRAD_BLOCK = 256  # table rows per weight-gradient product
 _PREDICT_CHUNK = 256  # samples per predict_batch forward pass
 
 
-def _conv2_pool_forward(table1, cells, w, b, ws=None):
+def _conv2_pool_forward(table1, cells, w, b):
     """conv2 -> pool -> ReLU (3x3, stride 2, no padding), evaluated once per
     distinct im2col row.
 
@@ -507,9 +522,10 @@ def _conv2_pool_forward(table1, cells, w, b, ws=None):
     and each phase map is a gather from the result.  No product has a
     single row: BLAS hands that to a matrix-vector kernel, which sums in
     another order than the matrix kernel.
-    Returns the pooled map and, in training (with a workspace), the cache
-    ``(m1, idx, 2, 0)`` that _conv_pool_backward reads, with conv1's pooled
-    map m1 gathered into the workspace; else None.
+    Returns the pooled map and the cache ``(rows, inverse, phases)`` that
+    _conv2_pool_backward reads: the distinct rows as table indices, each
+    phase's row per pooled cell and a function that returns each cell's
+    recorded phases.
     """
     batch, h, wd = cells.shape
     cin = table1.shape[1]
@@ -534,59 +550,35 @@ def _conv2_pool_forward(table1, cells, w, b, ws=None):
         np.matmul(table1[rows[lo:hi]].reshape(hi - lo, 9 * cin), w_mat, out=table[lo:hi])
     table += b
     inverse = inverse.reshape(4, batch * ph * pw)
-    pooled, idx = _phase_max_relu(
-        batch * ph * pw,
-        filters,
-        lambda phase, out: np.take(table, inverse[phase], axis=0, out=out, mode="clip"),
-        ws is not None,
-    )
-    pooled = pooled.reshape(batch, ph, pw, filters)
-    if ws is None:
-        return pooled, None
-    m1 = ws.array("pooled", (batch, h, wd, cin))
-    np.take(table1, cells, axis=0, out=m1, mode="clip")
-    return pooled, (m1, idx.reshape(pooled.shape), 2, 0)
+
+    def fill_phase(phase, out):
+        np.take(table, inverse[phase], axis=0, out=out, mode="clip")
+
+    pooled = _phase_max_relu(batch * ph * pw, filters, fill_phase)
+    phases = partial(_recorded_phases, pooled, fill_phase)
+    return pooled.reshape(batch, ph, pw, filters), (rows, inverse, phases)
 
 
-def _conv_pool_backward(dy, w, cache, need_dx, ws):
-    """Gradients of a conv -> pool -> ReLU layer from the cache ``(xp, idx,
-    stride, pad)`` its forward pass built with a workspace: the padded
-    input and the recorded phases.  dx is None unless asked; it and every
-    full-resolution array are written into the workspace ``ws``.
+def _conv2_pool_backward(dy, table1, w, cache):
+    """Gradients of conv2's weights and bias and of conv1's table ``table1``
+    from the pooled gradient ``dy`` and the forward pass's cache.
 
-    One pass scatters each pooled gradient into the full-resolution map
-    viewed as (batch, i, di, j, dj, f): it lands at the recorded phase
-    2*di + dj and every other entry is 0, with none at all where ReLU was
-    inactive.  That map meets the full-resolution im2col rows in one GEMM.
+    Each pooled gradient goes to the distinct row its recorded phase read,
+    none where ReLU was inactive; summed per row, that is G (rows, filters).
+    The weight gradient is rows.T @ G, with the rows gathered from
+    ``table1`` block by block, and the gradient of conv1's table sums the
+    nine cin-wide slices of G @ w.T, each by the table index it read.
     """
-    xp, idx, stride, pad = cache
-    batch, ph, pw, filters = dy.shape
-    kh, kw, cin, _ = w.shape
-    oh, ow = 2 * ph, 2 * pw
-    full = (batch, ph, 2, pw, 2, filters)
-    mask = ws.array("mask", full, bool)
-    np.equal(idx[:, :, None, :, None, :], _PHASE_GRID, out=mask)
-    dfull = ws.array("dfull", full)
-    np.multiply(mask, dy[:, :, None, :, None, :], out=dfull)
-    dfull += 0.0  # mask * dy is -0.0 off the mask where dy < 0: make every zero +0.0
-    dy_mat = dfull.reshape(batch * oh * ow, filters)
-    cols = _im2col(xp, kh, kw, stride, oh, ow, ws.array("cols", (batch * oh * ow, kh * kw * cin)))
-    dw = (cols.T @ dy_mat).reshape(w.shape)
-    db = dy_mat.sum(axis=0)
-    if not need_dx:
-        return None, dw, db
-    dcols = ws.array("dcols", (batch * oh * ow, kh * kw * cin))
-    np.matmul(dy_mat, w.reshape(-1, filters).T, out=dcols)
-    dcols = dcols.reshape(batch, oh, ow, kh, kw, cin)
-    dxp = ws.array("dx", xp.shape)
-    dxp.fill(0.0)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += (
-                dcols[:, :, :, i, j, :]
-            )
-    dx = dxp[:, pad : xp.shape[1] - pad, pad : xp.shape[2] - pad, :] if pad else dxp
-    return dx, dw, db
+    rows, inverse, recorded = cache
+    phases = recorded()
+    cin, filters = table1.shape[1], w.shape[-1]
+    # The row each cell's recorded phase read; _NO_PHASE reads a dropped row.
+    read = np.vstack([inverse, np.full_like(inverse[:1], len(rows))])
+    read = np.take_along_axis(read, phases.T, axis=0).T
+    g = _segment_sum(read, dy.reshape(phases.shape), len(rows) + 1)[:-1]
+    drows = g @ w.reshape(9 * cin, filters).T
+    dtable1 = _segment_sum(rows.reshape(-1, 1), drows.reshape(-1, cin), len(table1))
+    return dtable1, _weight_grad(table1, g, rows).reshape(w.shape), g.sum(axis=0)
 
 
 def _softmax(logits):
@@ -595,14 +587,10 @@ def _softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward_batch(
-    params: RelNetParams, rasters: np.ndarray, vecs: np.ndarray, ws: _Workspace | None = None
-):
-    """Forward pass; training passes a workspace, which makes the conv layers
-    record what the backward pass reads."""
+def _forward_batch(params: RelNetParams, rasters: np.ndarray, vecs: np.ndarray):
     t = params.tensors
-    table1, cells, cache1 = _conv1_pool_forward(rasters, t["conv1_w"], t["conv1_b"], ws)
-    m2, cache2 = _conv2_pool_forward(table1, cells, t["conv2_w"], t["conv2_b"], ws)
+    table1, cells, cache1 = _conv1_pool_forward(rasters, t["conv1_w"], t["conv1_b"])
+    m2, cache2 = _conv2_pool_forward(table1, cells, t["conv2_w"], t["conv2_b"])
     flat = m2.reshape(m2.shape[0], -1)
     z1 = vecs @ t["fc1_w"] + t["fc1_b"]
     v1 = np.maximum(z1, 0.0)
@@ -613,6 +601,7 @@ def _forward_batch(
     y = _softmax(logits)
     cache = {
         "vecs": vecs,
+        "table1": table1,
         "cache1": cache1,
         "cache2": cache2,
         "m2_shape": m2.shape,
@@ -624,28 +613,28 @@ def _forward_batch(
     return table1, cells, m2, v1, v2, logits, y, cache
 
 
-def _backward_batch(params: RelNetParams, cache: dict, dlogits: np.ndarray, ws: _Workspace):
+def _backward_batch(params: RelNetParams, cache: dict, dlogits: np.ndarray):
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
-    grads["head_w"] = cache["v2"].T @ dlogits
+    grads["head_w"] = _weight_grad(cache["v2"], dlogits)
     grads["head_b"] = dlogits.sum(axis=0)
     dv2 = dlogits @ t["head_w"].T
     dz2 = dv2 * (cache["z2"] > 0)
-    grads["fc2_w"] = cache["z"].T @ dz2
+    grads["fc2_w"] = _weight_grad(cache["z"], dz2)
     grads["fc2_b"] = dz2.sum(axis=0)
     dz = dz2 @ t["fc2_w"].T
     n_fc1 = params.config.fc1_units
     dv1 = dz[:, :n_fc1]
     dflat = dz[:, n_fc1:]
     dz1 = dv1 * (cache["z1"] > 0)
-    grads["fc1_w"] = cache["vecs"].T @ dz1
+    grads["fc1_w"] = _weight_grad(cache["vecs"], dz1)
     grads["fc1_b"] = dz1.sum(axis=0)
     dm2 = dflat.reshape(cache["m2_shape"])
-    dm1, grads["conv2_w"], grads["conv2_b"] = _conv_pool_backward(
-        dm2, t["conv2_w"], cache["cache2"], True, ws
+    dtable1, grads["conv2_w"], grads["conv2_b"] = _conv2_pool_backward(
+        dm2, cache["table1"], t["conv2_w"], cache["cache2"]
     )
-    _, grads["conv1_w"], grads["conv1_b"] = _conv_pool_backward(
-        dm1, t["conv1_w"], cache["cache1"], False, ws
+    grads["conv1_w"], grads["conv1_b"] = _conv1_pool_backward(
+        dtable1, t["conv1_w"], cache["cache1"]
     )
     return grads
 
@@ -692,16 +681,16 @@ def forward(params: RelNetParams, sample: PairSample) -> RelNetActivations:
     )
 
 
-def _loss_and_grad_batch(params: RelNetParams, batch: list[PairSample], ws: _Workspace):
+def _loss_and_grad_batch(params: RelNetParams, batch: list[PairSample]):
     labels = np.array([RELATION_ORDER.index(s.label) for s in batch])
     rasters, vecs = _stack_batch(params.config, batch)
-    *_, logits, y, cache = _forward_batch(params, rasters, vecs, ws)
+    *_, logits, y, cache = _forward_batch(params, rasters, vecs)
     n = len(batch)
     loss = float(-np.log(y[np.arange(n), labels]).mean())
     dlogits = y.copy()
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    grads = _backward_batch(params, cache, dlogits, ws)
+    grads = _backward_batch(params, cache, dlogits)
     correct = int((y.argmax(axis=1) == labels).sum())
     return loss, grads, correct
 
@@ -714,7 +703,7 @@ def loss_and_grad(
         raise DataError("empty batch")
     if any(s.label is None for s in batch):
         raise DataError("loss needs labeled samples")
-    loss, grads, _ = _loss_and_grad_batch(params, batch, _Workspace())
+    loss, grads, _ = _loss_and_grad_batch(params, batch)
     return loss, RelNetParams(params.config, grads)
 
 
@@ -727,8 +716,7 @@ def train(
 
     Weight decay shrinks parameters by (1 - weight_decay) every step
     independently of the learning rate.  Shuffling, and therefore the whole
-    run, is determined by cfg.seed and the dataset order.  Every step
-    writes its large arrays into one workspace, sized by the first batch.
+    run, is determined by cfg.seed and the dataset order.
     """
     if not dataset:
         raise DataError("empty training dataset")
@@ -741,7 +729,6 @@ def train(
     work = params.copy()
     velocity = {k: np.zeros_like(v) for k, v in work.tensors.items()}
     history: list[EpochStats] = []
-    ws = _Workspace()
     n = len(dataset)
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
@@ -750,7 +737,7 @@ def train(
         correct_sum = 0
         for start in range(0, n, cfg.batch_size):
             batch = [dataset[i] for i in order[start : start + cfg.batch_size]]
-            loss, grads, correct = _loss_and_grad_batch(work, batch, ws)
+            loss, grads, correct = _loss_and_grad_batch(work, batch)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}; learning rate too high?"
@@ -791,8 +778,7 @@ def predict_batch(
     probs = []
     for start in range(0, len(samples), _PREDICT_CHUNK):
         rasters, vecs = _stack_batch(params.config, samples[start : start + _PREDICT_CHUNK])
-        *_, y, _cache = _forward_batch(params, rasters, vecs)
-        probs.append(y)
+        probs.append(_forward_batch(params, rasters, vecs)[-2])  # y; the rest is freed
     y = np.concatenate(probs) if probs else np.zeros((0, params.config.n_classes))
     labels = [RELATION_ORDER[i] for i in y.argmax(axis=1)]
     return labels, y

@@ -690,6 +690,13 @@ def test_training_input_checks():
     ]
     with pytest.raises(DataError, match="no leak label"):
         train_rule_params(rules, unlabeled, oracle_factory, cfg)
+    params = init_rule_params(rules, 0)
+    for train_on_nothing in (
+        lambda: train_rule_params(rules, [], oracle_factory, cfg),
+        lambda: ruleset_loss_and_grad(rules, params, [], oracle_factory),
+    ):
+        with pytest.raises(DataError, match="empty scene list"):
+            train_on_nothing()
     floats = gen_scenes(GenConfig(seed=8, tanks=(0, 0), mix=(0.0, 0.0, 1.0)), 6)
     mixed = leaky + floats  # guaranteed to contain both outcomes
     with pytest.raises(DataError, match="at least one rule"):
