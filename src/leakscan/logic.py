@@ -32,13 +32,13 @@ gives such a self-pair a crisp "other" (0, 0, 1), as an object is neither
 on nor near itself.
 
 One scorer serves inference, evaluation and weight learning, with tensor
-grounding as in Logic Tensor Networks: a corpus is grounded once, and per
-rule the scenes' binding matrices are stacked (equal row counts in one 3-D
-array), a segment max finds each scene's first best binding, and one
-argmax over rules per scene finds the winner.  evaluate_rules scores its
-scene as a one-scene corpus and ruleset_scores scores a whole corpus, so
-the two agree bit for bit: every value comes from the same elementwise
-operations and, per scene, the same matrix-vector product.
+grounding as in Logic Tensor Networks: a corpus is grounded once, per rule
+the scenes' binding matrices are concatenated in scene order, every
+binding's affine value is fuzzy_and's own sum, a segment max finds each
+scene's first best binding, and one argmax over rules per scene finds the
+winner.  A binding's value depends on its own row only, so evaluate_rules
+(a one-scene corpus), ruleset_scores and the fit step agree bit for bit
+with each other and with fuzzy_and.
 
 Weight learning is joint gradient descent on binary cross-entropy between
 the ruleset score and the scene leak label, with subgradients routed
@@ -49,7 +49,6 @@ summed in scene order.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -167,14 +166,22 @@ def fuzzy_or(xs) -> float:
 
 
 def fuzzy_and(xs, params: RuleParams) -> float:
+    """clamp(sum_i b_i x_i + c, 0, 1) over inputs clamped to [0, 1].
+
+    The sum starts at +0.0 and adds b_i x_i in premise order, then c; the
+    rule scorer adds in the same order.  It is a loop, not sum(), which
+    compensates float rounding from Python 3.12 on.
+    """
     vals = [_unit(x) for x in xs]
     if len(vals) != len(params.weights):
         raise DataError(
             f"fuzzy_and arity mismatch: {len(vals)} inputs, "
             f"{len(params.weights)} weights"
         )
-    z = sum(b * x for b, x in zip(params.weights, vals)) + params.bias
-    return _unit(z)
+    z = 0.0
+    for b, x in zip(params.weights, vals):
+        z += b * x
+    return _unit(z + params.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +404,12 @@ def ground_rule(
 class _StackedGroundings:
     """One rule's groundings over a corpus, for the scorer.
 
-    Block k is the non-empty ground_rule matrix of scene scene[k].  The
-    blocks are ordered by row count, then scene; those of one row count
-    are stacked in one 3-D array of groups.  rows holds all their rows in
-    block order, block k from row starts[k] on, sizes[k] of them, and ids
-    the object ids each row binds to rule.variables().
+    Block k is the non-empty ground_rule matrix of scene scene[k], in scene
+    order.  rows holds all their rows, block k from row starts[k] on,
+    sizes[k] of them, and ids the object ids each row binds to
+    rule.variables().
     """
 
-    groups: list[np.ndarray]
     rows: np.ndarray
     ids: np.ndarray
     scene: np.ndarray
@@ -419,21 +424,16 @@ def _ground_corpus(rules, scenes, pair_probs_factory) -> list[_StackedGroundings
         per_scene.append([ground_rule(rule, scene, fn) for rule in rules])
     stacked = []
     for r, rule in enumerate(rules):
-        xs, ids = [g[r][0] for g in per_scene], [g[r][1] for g in per_scene]
-        order = sorted((i for i, x in enumerate(xs) if len(x)), key=lambda i: len(xs[i]))
-        sizes = np.array([len(xs[i]) for i in order], dtype=np.intp)
+        sizes = np.array([len(g[r][0]) for g in per_scene], dtype=np.intp)
+        scene = np.flatnonzero(sizes)
         stacked.append(_StackedGroundings(
-            groups=[
-                np.stack([xs[i] for i in same])
-                for _, same in itertools.groupby(order, key=lambda i: len(xs[i]))
-            ],
-            rows=np.concatenate([np.zeros((0, len(rule.body))), *(xs[i] for i in order)]),
+            rows=np.concatenate([np.zeros((0, len(rule.body))), *(g[r][0] for g in per_scene)]),
             ids=np.concatenate(
-                [np.zeros((0, len(rule.variables())), np.int64), *(ids[i] for i in order)]
+                [np.zeros((0, len(rule.variables())), np.int64), *(g[r][1] for g in per_scene)]
             ),
-            scene=np.array(order, dtype=np.intp),
-            starts=np.cumsum(sizes) - sizes,
-            sizes=sizes,
+            scene=scene,
+            starts=(np.cumsum(sizes) - sizes)[scene],
+            sizes=sizes[scene],
         ))
     return stacked
 
@@ -458,20 +458,21 @@ def _score(stacked: list[_StackedGroundings], vecs, n_scenes: int):
     rows), each (n_scenes, n_rules), with the score, its affine value and
     its row in the rule's stacked rows; no binding scores 0.
 
-    The arithmetic is that of one scene at a time, so every bit matches it:
-    matmul over a stack of equal-size blocks makes, for each block, the
-    BLAS call a lone block gets (one GEMV over all rows may round a row
-    differently with the row count), bias and clamp are elementwise, and
-    the best binding is the first row at the block's maximum, or its first
-    NaN, as np.argmax picks it; the score is that row's own value.
+    Each row's affine value is fuzzy_and's sum, elementwise over all rows:
+    +0.0, plus b_i x_i in premise order, plus c.  The best binding is the
+    first row at its block's maximum, or its first NaN, as np.argmax picks
+    it; the score is that row's own value.
     """
     scores = np.zeros((n_scenes, len(vecs)))
     z_best = np.zeros((n_scenes, len(vecs)))
     row_best = np.zeros((n_scenes, len(vecs)), dtype=np.intp)
     for r, (gr, v) in enumerate(zip(stacked, vecs)):
-        if not gr.groups:
+        if not len(gr.scene):
             continue
-        z = np.concatenate([(x @ v[:-1]).ravel() for x in gr.groups]) + v[-1]
+        z = np.zeros(len(gr.rows))
+        for b, x in zip(v[:-1], gr.rows.T):
+            z += b * x
+        z += v[-1]
         y = np.clip(z, 0.0, 1.0)
         top = np.repeat(np.maximum.reduceat(y, gr.starts), gr.sizes)
         at_top = np.where((y == top) | np.isnan(y), np.arange(len(y)), len(y))
@@ -655,9 +656,7 @@ def train_rule_params(
     Atom probabilities are fixed by the scenes and the relation classifier,
     so they are grounded once up front; each step only re-runs the cheap
     affine/clamp/max part, over the whole corpus at once, with the scorer
-    that infer and eval use (see _score for why that equals a scene-by-scene
-    step bit for bit).  lr = 0 reproduces
-    the initial parameters.
+    that infer and eval use.  lr = 0 reproduces the initial parameters.
     """
     if not rules:
         raise DataError("ruleset must contain at least one rule")

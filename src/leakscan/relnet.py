@@ -756,24 +756,17 @@ def train(
     return work, history
 
 
-def predict(
-    params: RelNetParams, sample: PairSample
-) -> tuple[RelationLabel, np.ndarray]:
-    """Most probable relation (ties break toward above < nearby < other)."""
-    y = forward(params, sample).y
-    return RELATION_ORDER[int(np.argmax(y))], y
-
-
 def predict_batch(
     params: RelNetParams, samples: list[PairSample]
 ) -> tuple[list[RelationLabel], np.ndarray]:
-    """Batched predict over samples, in chunks of _PREDICT_CHUNK.
+    """Most probable relation and the probabilities of each sample, in
+    chunks of _PREDICT_CHUNK; ties break toward above < nearby < other.
 
     The conv layers give each sample the same values whatever its
     batch-mates, but the fully connected GEMMs may round a last bit
-    differently with the batch's size and content, so the probabilities
-    agree with predict to within about 1e-15 (the tests use atol=1e-12),
-    not bit for bit.  Labels come from the same argmax as predict.
+    differently with the batch's size and content, so a sample's
+    probabilities agree with a batch of one to within about 1e-15 (the
+    tests use atol=1e-12), not bit for bit.
     """
     probs = []
     for start in range(0, len(samples), _PREDICT_CHUNK):

@@ -466,7 +466,7 @@ def _brute_rule_score(rule, params, scene, probs):
     best = 0.0
     for combo in itertools.product(scene.objects, repeat=len(rule.variables())):
         env = dict(zip(rule.variables(), combo))
-        z = params.bias
+        z = 0.0
         for w, a in zip(params.weights, rule.body):
             objs = [env[v] for v in a.args]
             if a.predicate in _CLASS_OF:
@@ -479,7 +479,7 @@ def _brute_rule_score(rule, params, scene, probs):
                 x = rel["above" if a.predicate == "On" else "nearby"]
             z += w * (1.0 - x if a.negated else x)
         else:
-            best = max(best, min(max(z, 0.0), 1.0))
+            best = max(best, min(max(z + params.bias, 0.0), 1.0))
     return best
 
 
@@ -513,7 +513,7 @@ def test_infer_scores_self_pair_rules(workspace, tmp_path, capsys):
     probs = {(p["subject"], p["reference"]): p for p in report["pair_relations"]}
     assert len(probs) == 12  # self-pairs are not classified or reported
     want = [_brute_rule_score(r, p, scene, probs) for r, p in parse_rules(SELF_PAIR_RULES)]
-    assert report["rule_scores"] == pytest.approx(want, rel=0, abs=1e-12)
+    assert report["rule_scores"] == want
     assert report["rule_scores"][2] == 0.625  # !On(A,A) = 1, Around(A,A) = 0
 
 

@@ -29,6 +29,7 @@ from leakscan.logic import (
     parse_rules,
     print_rules,
     ruleset_loss_and_grad,
+    ruleset_scores,
     save_rule_params,
     train_rule_params,
 )
@@ -333,10 +334,10 @@ def _slow_best_score(rule, params, scene, pair_probs):
             for a in rule.body
         ):
             continue
-        z = params.bias
+        z = 0.0
         for w, a in zip(params.weights, rule.body):
             z += w * _slow_atom(a, lookup, pair_probs)
-        score = min(max(z, 0.0), 1.0)
+        score = min(max(z + params.bias, 0.0), 1.0)
         if best is None or score > best:
             best = score
     return 0.0 if best is None else best
@@ -460,17 +461,66 @@ def test_evaluate_rule_matches_exhaustive_brute_force():
             )
             got, ctx = evaluate_rule(rule, params, scene, hash_probs)
             want = _slow_best_score(rule, params, scene, hash_probs)
-            assert abs(got - want) <= 1e-12
+            assert got == want
             if ctx is not None:
                 # The reported binding really achieves the reported score.
                 lookup = {v: scene.object_by_id(i) for v, i in ctx.items()}
-                z = params.bias + sum(
-                    w * _slow_atom(a, lookup, hash_probs)
-                    for w, a in zip(params.weights, rule.body)
-                )
-                assert abs(min(max(z, 0.0), 1.0) - got) <= 1e-12
+                z = 0.0
+                for w, a in zip(params.weights, rule.body):
+                    z += w * _slow_atom(a, lookup, hash_probs)
+                assert min(max(z + params.bias, 0.0), 1.0) == got
             else:
                 assert got == 0.0
+
+
+def _random_rule(rng, n_premises):
+    """A rule over up to three variables, about a third of its premises negated."""
+    names = sorted(logic.PREDICATES)
+    body = []
+    for _ in range(n_premises):
+        pred = names[int(rng.integers(0, len(names)))]
+        args = tuple(rng.choice(["A", "B", "C"], logic.PREDICATES[pred]).tolist())
+        body.append(Atom(pred, args, negated=bool(rng.random() < 0.35)))
+    return RuleAST(Atom("OilArea", (body[0].args[0],)), tuple(body))
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def test_rule_scores_match_fuzzy_and_bit_for_bit_in_any_corpus():
+    """Every rule score is the max of fuzzy_and over ground_rule's rows, bit
+    for bit, and a scene's ruleset score has the same bytes alone and inside
+    a shuffled corpus."""
+    rng = np.random.default_rng(91)
+    arities = set()
+    diff_from_gemv = 0
+    for _ in range(12):
+        rules = [_random_rule(rng, int(rng.integers(1, 7))) for _ in range(5)]
+        params = [
+            RuleParams(
+                weights=tuple(rng.uniform(-0.5, 1.0, len(r.body)).tolist()),
+                bias=float(rng.uniform(-0.3, 0.5)),
+            )
+            for r in rules
+        ]
+        scenes = [random_scene(rng, max_objects=6) for _ in range(25)]
+        for scene in scenes:
+            got = evaluate_rules(rules, params, scene, hash_probs)
+            for rule, p, (score, _ctx) in zip(rules, params, got):
+                x, _ids = ground_rule(rule, scene, hash_probs)
+                want = max((fuzzy_and(row, p) for row in x.tolist()), default=0.0)
+                assert _bits(score) == _bits(want)
+                arities.add(len(rule.body))
+                if len(x):  # the data must tell this sum from a BLAS product
+                    gemv = np.clip(x @ p.vector()[:-1] + p.bias, 0.0, 1.0)
+                    diff_from_gemv += _bits(gemv.max()) != _bits(want)
+        alone = [ruleset_scores(rules, params, [s], hash_factory)[0] for s in scenes]
+        perm = rng.permutation(len(scenes))
+        corpus = ruleset_scores(rules, params, [scenes[i] for i in perm], hash_factory)
+        assert [_bits(v) for v in corpus] == [_bits(alone[i]) for i in perm]
+    assert arities == {1, 2, 3, 4, 5, 6}
+    assert diff_from_gemv > 10
 
 
 def test_ruleset_is_max_and_monotone():
@@ -552,7 +602,10 @@ def _per_scene_loss_and_grad(vecs, groundings, labels, seen=None):
                 winners.append(None)
                 zs.append(0.0)
                 continue
-            z = x @ vecs[r][:-1] + vecs[r][-1]
+            z = np.zeros(len(x))
+            for j in range(x.shape[1]):
+                z += vecs[r][j] * x[:, j]
+            z += vecs[r][-1]
             y = np.clip(z, 0.0, 1.0)
             i = int(np.argmax(y))
             scores[r] = float(y[i])

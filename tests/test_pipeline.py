@@ -465,7 +465,7 @@ def test_scene_pair_probs_matches_direct_prediction():
             sample = rn.make_pair_sample(
                 s, r, scene.image_width, scene.image_height, grid=TINY.grid
             )
-            _lab, y = rn.predict(params, sample)
+            _labels, (y,) = rn.predict_batch(params, [sample])
             np.testing.assert_allclose(lookup(s, r), y, rtol=0, atol=1e-12)
 
 
@@ -562,8 +562,8 @@ def test_run_eval_input_checks(tmp_path):
 
 def test_corpus_scores_match_per_scene_inference_bit_for_bit(tmp_path):
     """The corpus scorer eval uses gives every scene run_inference's leak
-    probability bit for bit, whatever the scene's block shares its stack
-    with; the eval report counts the decisions those probabilities make."""
+    probability bit for bit, whatever other scenes the corpus holds; the
+    eval report counts the decisions those probabilities make."""
     pipe = load_pipeline(write_pipeline_files(tmp_path))
     gen = GenConfig(tanks=(0, 2), blobs=(0, 3), distractor_prob=0.5, seed=52)
     scenes = gen_scenes(gen, 40)
@@ -577,7 +577,7 @@ def test_corpus_scores_match_per_scene_inference_bit_for_bit(tmp_path):
     stacked = logic._ground_corpus(pipe.rules, scenes, factory)
     for gr in stacked:  # scenes without a binding, and blocks of equal and of unequal sizes
         assert len(gr.scene) < len(scenes)
-        assert len(gr.groups) > 1 and max(len(g) for g in gr.groups) > 1
+        assert 1 < len(set(gr.sizes.tolist())) < len(gr.sizes)
     rng = np.random.default_rng(53)
     dyadic = [RuleParams.from_vector(rng.integers(-4, 9, len(r.body) + 1) / 8.0) for r in pipe.rules]
     for params in (pipe.rule_params, dyadic):  # dyadic weights tie bindings and rules exactly

@@ -31,7 +31,6 @@ from leakscan.relnet import (
     load_params,
     loss_and_grad,
     make_pair_sample,
-    predict,
     predict_batch,
     save_params,
     train,
@@ -234,7 +233,7 @@ def test_batch_matches_single_forward():
     samples = synth_batch(rng, 7)
     labels, probs = predict_batch(params, samples)
     for i, s in enumerate(samples):
-        lab, y = predict(params, s)
+        (lab,), (y,) = predict_batch(params, [s])
         assert labels[i] is lab
         # Batched matmul may re-associate sums; agreement is to float precision.
         np.testing.assert_allclose(probs[i], y, rtol=0, atol=1e-12)
@@ -245,7 +244,7 @@ def test_predict_tie_breaks_to_first_relation():
     for name in params.tensors:
         params.tensors[name][...] = 0.0  # all logits identical
     rng = np.random.default_rng(2)
-    lab, y = predict(params, synth_sample(rng))
+    (lab,), (y,) = predict_batch(params, [synth_sample(rng)])
     assert lab is RELATION_ORDER[0]
     np.testing.assert_allclose(y, [1 / 3] * 3)
 
