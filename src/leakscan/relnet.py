@@ -34,11 +34,15 @@ conv2 extends the table one layer up and reads conv1's table directly.
 Each conv1 cell is a row of conv1's table, so each conv2 im2col row, a 3x3
 window of conv1 cells, is named by the nine table indices it reads.  Rows
 with equal indices hold equal inputs; the layer keys the rows of all four
-pool phases by those indices, gathers each distinct row from conv1's table
-by its nine indices, runs one GEMM over the distinct rows only (in fixed
-chunks, so the working set stays small) and gathers each phase map from
-the result.  Background margins and polygon interiors repeat across the
-pairs of a batch, so on scene rasters about half of the rows are repeats.
+pool phases by those indices and computes each distinct row once, by kernel
+position: for each position k, every distinct table index in column k of
+the distinct rows is multiplied once by the position's cin x filters slice
+of the weights, and each row's value is the sum of its nine products in
+kernel order, gathered and added in fixed blocks so the working set stays
+small, plus the bias.  Background margins and polygon interiors repeat
+across the pairs of a batch, so on scene rasters about half of the rows are
+repeats, and a table index recurs at one position in many distinct rows:
+the products number about a quarter of the distinct rows' nine slices.
 This is exact for the same reason: the GEMM gives a row the same value
 whatever its row-mates, as long as it has at least one (BLAS hands a
 one-row product to a matrix-vector kernel that sums in another order), and
@@ -503,32 +507,33 @@ def _conv1_pool_backward(dtable, w, cache):
     return dw.reshape(w.shape), db
 
 
-_CONV2_CHUNK = 1024  # distinct im2col rows per conv2 GEMM
+_CONV2_CHUNK = 1024  # conv2 table rows per block of the per-position adds
 _GRAD_BLOCK = 256  # table rows per weight-gradient product
 _PREDICT_CHUNK = 256  # samples per predict_batch forward pass
 
 
 def _conv2_pool_forward(table1, cells, w, b):
     """conv2 -> pool -> ReLU (3x3, stride 2, no padding), evaluated once per
-    distinct im2col row.
+    distinct im2col row, by kernel position.
 
     ``table1`` and ``cells`` are conv1's table and per-cell table index from
     _conv1_pool_forward, so conv1's pooled map is ``table1[cells]``.  Pool
     phase (di, dj) puts conv output (2i + di, 2j + dj) at pooled cell
     (i, j); its im2col row is the 3x3 window of that map there, so it is
     named by the nine table indices of that window.  The rows of all four
-    phases are keyed by those indices alone, the distinct ones are gathered
-    straight from ``table1`` and multiplied in chunks of _CONV2_CHUNK rows,
-    and each phase map is a gather from the result.  No product has a
-    single row: BLAS hands that to a matrix-vector kernel, which sums in
-    another order than the matrix kernel.
+    phases are keyed by those indices alone, and each phase map is a gather
+    from the table of distinct rows.  That table is the sum over kernel
+    positions k = 0..8, in that order, of ``table1[u] @ w[k]`` over the
+    distinct indices u in column k of the rows, each multiplied once and
+    gathered back to the rows in blocks of _CONV2_CHUNK; the bias is added
+    last.  No product has a single row: BLAS hands that to a matrix-vector
+    kernel, which sums in another order than the matrix kernel.
     Returns the pooled map and the cache ``(rows, inverse, phases)`` that
     _conv2_pool_backward reads: the distinct rows as table indices, each
     phase's row per pooled cell and a function that returns each cell's
     recorded phases.
     """
     batch, h, wd = cells.shape
-    cin = table1.shape[1]
     filters = w.shape[-1]
     ph, pw = ((h - 3) // 2 + 1) // 2, ((wd - 3) // 2 + 1) // 2
     # keys[di, dj, n, i, j, ki, kj]: table index of cell (n, 4i + 2di + ki, 4j + 2dj + kj).
@@ -539,15 +544,26 @@ def _conv2_pool_forward(table1, cells, w, b):
         strides=(2 * c1, 2 * c2, c0, 4 * c1, 4 * c2, c1, c2),
     ).reshape(-1, 9)
     first, inverse = _distinct_rows(keys)
-    # A lone distinct row is multiplied twice: see the docstring.
+    # A lone distinct row is kept twice, so that no product of the
+    # backward pass has a single row either.
     rows = keys[np.resize(first, max(len(first), 2))]
-    w_mat = w.reshape(9 * cin, filters)
+    w_k = w.reshape(9, -1, filters)
     table = np.empty((len(rows), filters))
-    # Near-equal chunks, so none has fewer than two rows.
-    n_chunks = -(-len(rows) // _CONV2_CHUNK)
-    bounds = np.arange(n_chunks + 1) * len(rows) // n_chunks
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.matmul(table1[rows[lo:hi]].reshape(hi - lo, 9 * cin), w_mat, out=table[lo:hi])
+    used = np.zeros(len(table1), dtype=np.intp)
+    for k in range(9):
+        # The distinct indices of column k and each row's place among them.
+        col = rows[:, k]
+        used[col] = 1
+        distinct = np.flatnonzero(used)
+        place = (np.cumsum(used) - 1)[col]
+        used[distinct] = 0
+        # A lone index is multiplied twice: see the docstring.
+        term = table1[np.resize(distinct, max(len(distinct), 2))] @ w_k[k]
+        if k == 0:
+            np.take(term, place, axis=0, out=table)
+        else:
+            for lo in range(0, len(rows), _CONV2_CHUNK):
+                table[lo : lo + _CONV2_CHUNK] += term[place[lo : lo + _CONV2_CHUNK]]
     table += b
     inverse = inverse.reshape(4, batch * ph * pw)
 

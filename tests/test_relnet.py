@@ -305,6 +305,21 @@ def _im2col(xp, kh, kw, stride, oh, ow):
     return win.reshape(batch * oh * ow, kh * kw * cin)
 
 
+def _conv_product(cols, w, b):
+    """The conv output of im2col rows ``cols``: one K = 9 product for a
+    one-channel input (conv1), else nine per-position K = cin products
+    summed in kernel order (conv2); the bias is added last."""
+    kh, kw, cin, filters = w.shape
+    if cin == 1:
+        return cols @ w.reshape(kh * kw, filters) + b
+    cols = cols.reshape(len(cols), kh * kw, cin)
+    w_k = w.reshape(kh * kw, cin, filters)
+    y = cols[:, 0] @ w_k[0]
+    for k in range(1, kh * kw):
+        y += cols[:, k] @ w_k[k]
+    return y + b
+
+
 def _ref_conv_forward(x, w, b, stride, pad):
     batch, h, wd, _ = x.shape
     kh, kw, cin, filters = w.shape
@@ -312,7 +327,7 @@ def _ref_conv_forward(x, w, b, stride, pad):
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
     cols = _im2col(xp, kh, kw, stride, oh, ow)
-    y = cols @ w.reshape(kh * kw * cin, filters) + b
+    y = _conv_product(cols, w, b)
     return y.reshape(batch, oh, ow, filters), (cols, xp.shape, stride, pad)
 
 
@@ -362,8 +377,8 @@ def _ref_pool_backward(dy, cache):
 
 
 def _conv_pool_forward(x, w, b, stride, pad):
-    """3x3 conv -> 2x2 stride-2 max-pool -> ReLU, one GEMM per pool phase:
-    the layer both conv tables are checked against.
+    """3x3 conv -> 2x2 stride-2 max-pool -> ReLU, one _conv_product per pool
+    phase: the layer both conv tables are checked against.
 
     Phase (di, dj) holds the conv outputs at rows 2i+di and columns 2j+dj,
     so the pool is an elementwise max over the four phase maps.  Adding the
@@ -380,9 +395,9 @@ def _conv_pool_forward(x, w, b, stride, pad):
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
     ph = ((h + 2 * pad - kh) // stride + 1) // 2
     pw = ((wd + 2 * pad - kw) // stride + 1) // 2
-    w_mat = w.reshape(kh * kw * cin, filters)
     maps = np.stack([
-        _im2col(xp[:, di * stride :, dj * stride :], kh, kw, 2 * stride, ph, pw) @ w_mat + b
+        _conv_product(_im2col(xp[:, di * stride :, dj * stride :], kh, kw, 2 * stride, ph, pw),
+                      w, b)
         for di, dj in relnet._POOL_PHASES
     ])
     pooled = np.maximum(maps.max(axis=0), 0.0)
@@ -743,19 +758,57 @@ print(digest.hexdigest())
 """
 
 
-def test_trained_weights_bit_identical_at_1_2_4_blas_threads():
-    """A compact net trained on 150 pairs (its last batch has 22) has the
-    same weight bytes twice at one BLAS thread and at two and four.  Its
-    conv2 weight gradient reduces over hundreds of table rows, more than
-    OpenBLAS sums the same way at every thread count in one product."""
+def _hashes_at_1_2_4_blas_threads(script):
+    """The stdout of ``script`` run twice at one BLAS thread, then at two
+    and four, each in a fresh interpreter with this checkout's package."""
     src = str(Path(relnet.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = []
     for threads in ("1", "1", "2", "4"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-        run = subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH], env=env,
+        run = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         digests.append(run.stdout.strip())
+    return digests
+
+
+def test_trained_weights_bit_identical_at_1_2_4_blas_threads():
+    """A compact net trained on 150 pairs (its last batch has 22) has the
+    same weight bytes twice at one BLAS thread and at two and four.  Its
+    conv2 weight gradient reduces over hundreds of table rows, more than
+    OpenBLAS sums the same way at every thread count in one product."""
+    digests = _hashes_at_1_2_4_blas_threads(_TRAIN_AND_HASH)
+    assert len(digests[0]) == 64
+    assert len(set(digests)) == 1, digests
+
+
+_PREDICT_AND_HASH = """
+import dataclasses, hashlib
+import numpy as np
+from leakscan import relnet, scenegen
+from leakscan.scene import MaskRaster
+cfg = scenegen.GenConfig(tanks=(1, 2), blobs=(3, 6), distractor_prob=0.5, seed=39)
+samples = []
+index = 0
+while len(samples) < 260:
+    scene = scenegen.gen_scene(cfg, index)
+    samples += relnet.all_pair_samples(scene.objects, scene.image_width, scene.image_height)
+    index += 1
+rng = np.random.default_rng(40)
+for s in samples[:40]:  # random three-level masks repeat few windows
+    values = rng.choice([0.0, 0.5, 1.0], size=(28, 28), p=rng.dirichlet(np.ones(3)))
+    samples.append(dataclasses.replace(s, raster=MaskRaster(28, 28, values)))
+params = relnet.init_params(relnet.RelNetConfig(), seed=41)
+print(hashlib.sha256(relnet.predict_batch(params, samples)[1].tobytes()).hexdigest())
+"""
+
+
+def test_inference_bit_identical_at_1_2_4_blas_threads():
+    """Paper-size probabilities of 324 pairs (two chunks), 284 scene pairs
+    and 40 random three-level masks, are the same bytes twice at one
+    BLAS thread and at two and four: conv2's per-position products and the
+    FC layers round alike at every thread count."""
+    digests = _hashes_at_1_2_4_blas_threads(_PREDICT_AND_HASH)
     assert len(digests[0]) == 64
     assert len(set(digests)) == 1, digests
 
