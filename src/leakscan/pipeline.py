@@ -311,10 +311,10 @@ def scene_pair_probs(params: rn.RelNetParams, scene: Scene):
     ]
     cache: dict[tuple[int, int], np.ndarray] = {}
     if pairs:
-        samples = rn.all_pair_samples(
+        batch = rn.scene_pair_batch(
             scene.objects, scene.image_width, scene.image_height, grid=params.config.grid
         )
-        _labels, probs = rn.predict_batch(params, samples)
+        _labels, probs = rn.predict_batch(params, batch)
         for (s, r), p in zip(pairs, probs):
             cache[(s.id, r.id)] = p
 

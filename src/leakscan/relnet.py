@@ -27,8 +27,8 @@ three-level input: every product of an input level and a weight is exact,
 and the GEMM gives a row the same value whatever the other rows are (the
 tests check this bit for bit against the per-phase layer), so each row is a
 function of its window alone; bias, max, ReLU and the recorded phase are
-elementwise on those values.  Pair samples only admit three-level rasters,
-which is what makes the table safe.
+elementwise on those values.  Pair samples and pair batches only admit
+three-level rasters, which is what makes the table safe.
 
 conv2 extends the table one layer up and reads conv1's table directly.
 Each conv1 cell is a row of conv1's table, so each conv2 im2col row, a 3x3
@@ -66,6 +66,14 @@ every weight-gradient product runs in fixed blocks of at most 256 rows,
 added in order; the tests check that training gives the same weight bytes
 at 1, 2 and 4 threads.
 
+A scene's ordered pairs are built in one batched pass, scene_pair_batch:
+the frames of all unordered pairs are computed as arrays, one
+rasterize_rings call draws every object in every frame it belongs to, and
+the position and class vectors are computed as arrays too.  The result is a
+PairBatch, the stacked arrays predict_batch reads, so no per-pair object is
+made.  Its rows are make_pair_sample's bytes, because each step repeats the
+same elementwise arithmetic and both share the rasterizer.
+
 Everything is plain numpy with hand-written backpropagation; gradients are
 verified against central finite differences in the tests.  All computation
 is float64 and deterministic: fixed seeds reproduce bit-identical parameters
@@ -88,6 +96,8 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, check_field_types
 from .scene import (
     CLASS_DIM,
+    CLASS_ORDER,
+    PAIR_MARGIN,
     POSITION_DIM,
     DetectedObject,
     MaskRaster,
@@ -95,6 +105,8 @@ from .scene import (
     pair_frame,
     position_vector,
     rasterize,
+    rasterize_rings,
+    vertex_rings,
 )
 
 PAIR_GRID = 28
@@ -324,41 +336,109 @@ def make_pair_sample(
     frame = pair_frame(subject.bbox, reference.bbox)
     sub = rasterize(subject.polygon, frame, grid, grid)
     ref = rasterize(reference.polygon, frame, grid, grid)
-    return _pair_sample(subject, reference, sub, ref, img_w, img_h, label)
-
-
-def all_pair_samples(
-    objects: Sequence[DetectedObject], img_w: float, img_h: float, grid: int = PAIR_GRID
-) -> list[PairSample]:
-    """make_pair_sample for every ordered pair of distinct objects, unlabeled.
-
-    The order is subject outer, reference inner: (0, 1), (0, 2), ...,
-    (1, 0), (1, 2), ...  pair_frame is symmetric, so each unordered pair is
-    rasterized once and serves both of its orders.
-    """
-    n = len(objects)
-    masks: dict[tuple[int, int], MaskRaster] = {}  # (i, j) -> object i in the frame of {i, j}
-    for i in range(n):
-        for j in range(i + 1, n):
-            frame = pair_frame(objects[i].bbox, objects[j].bbox)
-            masks[i, j] = rasterize(objects[i].polygon, frame, grid, grid)
-            masks[j, i] = rasterize(objects[j].polygon, frame, grid, grid)
-    return [
-        _pair_sample(objects[i], objects[j], masks[i, j], masks[j, i], img_w, img_h)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    ]
-
-
-def _pair_sample(subject, reference, sub, ref, img_w, img_h, label=None):
-    """The pair sample of two masks rasterized in the pair's frame."""
     return PairSample(
-        raster=MaskRaster(sub.width, sub.height, np.maximum(sub.values, 0.5 * ref.values)),
+        raster=MaskRaster(grid, grid, np.maximum(sub.values, 0.5 * ref.values)),
         v_poi=position_vector(subject, reference, img_w, img_h),
         v_cls=class_vector(subject.label, reference.label),
         label=label,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class PairBatch:
+    """Unlabeled pair samples stacked as arrays, as predict_batch reads them.
+
+    ``rasters`` is (n, grid, grid) with values in {0, 0.5, 1.0} and ``vecs``
+    is (n, 16), each row a sample's v_poi followed by its v_cls; ``len()``
+    is n.  Both are read-only after construction.
+    """
+
+    rasters: np.ndarray
+    vecs: np.ndarray
+
+    def __post_init__(self):
+        rasters = np.asarray(self.rasters, dtype=np.float64)
+        vecs = np.asarray(self.vecs, dtype=np.float64)
+        if rasters.ndim != 3 or vecs.shape != (len(rasters), POSITION_DIM + CLASS_DIM):
+            raise DataError(
+                f"pair batch shapes {rasters.shape} and {vecs.shape} do not "
+                f"match (n, grid, grid) and (n, {POSITION_DIM + CLASS_DIM})"
+            )
+        if not np.isin(rasters, (0.0, 0.5, 1.0)).all():
+            raise DataError("pair raster values must be in {0, 0.5, 1.0}")
+        if not np.all(np.isfinite(vecs)):
+            raise DataError("pair feature vectors contain non-finite values")
+        for name, v in (("rasters", rasters), ("vecs", vecs)):
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+
+    def __len__(self) -> int:
+        return len(self.rasters)
+
+    def __getitem__(self, rows: slice) -> "PairBatch":
+        return PairBatch(self.rasters[rows], self.vecs[rows])
+
+
+_LEVELS = np.array([0.0, 0.5, 1.0, 1.0])  # pair raster value by 2 * subject + reference
+
+
+def scene_pair_batch(
+    objects: Sequence[DetectedObject], img_w: float, img_h: float, grid: int = PAIR_GRID
+) -> PairBatch:
+    """make_pair_sample for every ordered pair of distinct objects, unlabeled,
+    as one PairBatch with the same bytes row for row.
+
+    The order is subject outer, reference inner: (0, 1), (0, 2), ...,
+    (1, 0), (1, 2), ...  pair_frame is symmetric, so each unordered pair's
+    frame is computed once, with pair_frame's elementwise arithmetic on
+    arrays, and both objects are drawn in it by one rasterize_rings call
+    over all frames.  The position vectors are position_vector's arithmetic
+    on arrays; each log ratio is a math.log call, as there, since np.log
+    may round differently.
+    """
+    n = len(objects)
+    if n < 2:
+        return PairBatch(np.zeros((0, grid, grid)), np.zeros((0, POSITION_DIM + CLASS_DIM)))
+    if img_w <= 0 or img_h <= 0:
+        raise DataError("image dimensions must be positive")
+    boxes = np.array([[o.bbox.x1, o.bbox.y1, o.bbox.x2, o.bbox.y2] for o in objects])
+    # Frames of the unordered pairs i < j, as pair_frame computes them.
+    i, j = np.triu_indices(n, 1)
+    lo = np.minimum(boxes[i, :2], boxes[j, :2])
+    hi = np.maximum(boxes[i, 2:], boxes[j, 2:])
+    margin = PAIR_MARGIN * (hi - lo)
+    frames = np.concatenate([lo - margin, hi + margin], axis=1)
+    # Mask slot[a, b] is object a drawn in the frame of {a, b}.
+    masks = rasterize_rings(
+        vertex_rings([o.polygon for o in objects])[np.concatenate([i, j])],
+        np.concatenate([frames, frames]),
+        grid,
+        grid,
+    )
+    slot = np.zeros((n, n), dtype=np.intp)
+    slot[i, j] = np.arange(len(i))
+    slot[j, i] = len(i) + np.arange(len(i))
+    s, r = np.nonzero(~np.eye(n, dtype=bool))  # subject outer, reference inner
+    masks = masks.view(np.uint8)
+    rasters = _LEVELS[2 * masks[slot[s, r]] + masks[slot[r, s]]]
+    # Position vectors: centers, log size ratios and center offsets.
+    centers = 0.5 * (boxes[:, :2] + boxes[:, 2:])
+    sizes = boxes[:, 2:] - boxes[:, :2]
+    scale = np.array([img_w, img_h])
+    ratios = (sizes[s] / sizes[r]).tolist()
+    vecs = np.zeros((len(s), POSITION_DIM + CLASS_DIM))
+    vecs[:, 0:2] = centers[s] / scale
+    vecs[:, 2:4] = centers[r] / scale
+    vecs[:, 4:6] = [[math.log(x), math.log(y)] for x, y in ratios]
+    vecs[:, 6:8] = (centers[s] - centers[r]) / scale
+    if not np.all(np.isfinite(vecs)):
+        raise DataError("non-finite position vector")
+    # Class vectors: the two one-hot blocks.
+    labels = np.array([CLASS_ORDER.index(o.label) for o in objects])
+    rows = np.arange(len(s))
+    vecs[rows, POSITION_DIM + labels[s]] = 1.0
+    vecs[rows, POSITION_DIM + len(CLASS_ORDER) + labels[r]] = 1.0
+    return PairBatch(rasters, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +735,17 @@ def _backward_batch(params: RelNetParams, cache: dict, dlogits: np.ndarray):
     return grads
 
 
-def _stack_batch(config: RelNetConfig, batch: list[PairSample]):
-    rasters = np.stack([s.raster.values for s in batch])[..., None]
+def _stack_batch(config: RelNetConfig, batch: list[PairSample] | PairBatch):
+    if isinstance(batch, PairBatch):
+        rasters, vecs = batch.rasters[..., None], batch.vecs
+    else:
+        rasters = np.stack([s.raster.values for s in batch])[..., None]
+        vecs = np.stack([s.feature_vector() for s in batch])
     if rasters.shape[1:3] != (config.grid, config.grid):
         raise DataError(
             f"raster size {rasters.shape[1:3]} does not match config grid "
             f"{config.grid}"
         )
-    vecs = np.stack([s.feature_vector() for s in batch])
     if vecs.shape[1] != config.vec_dim:
         raise DataError(
             f"feature vector length {vecs.shape[1]} does not match config "
@@ -773,10 +856,15 @@ def train(
 
 
 def predict_batch(
-    params: RelNetParams, samples: list[PairSample]
+    params: RelNetParams, samples: list[PairSample] | PairBatch
 ) -> tuple[list[RelationLabel], np.ndarray]:
     """Most probable relation and the probabilities of each sample, in
     chunks of _PREDICT_CHUNK; ties break toward above < nearby < other.
+
+    ``samples`` is a list of pair samples or a PairBatch, which is already
+    stacked: a scene's pairs come as one, so no per-pair objects are built.
+    Both give the forward pass the same arrays, so equal samples give the
+    same probabilities bit for bit whichever form they come in.
 
     The conv layers give each sample the same values whatever its
     batch-mates, but the fully connected GEMMs may round a last bit

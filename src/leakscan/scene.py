@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +113,8 @@ class MaskRaster:
             raise DataError(
                 f"raster shape {v.shape} does not match {self.height}x{self.width}"
             )
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):
             raise DataError("raster values outside [0, 1]")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -313,47 +315,93 @@ def serialize_scene(scene: Scene) -> str:
 # Geometry
 # ---------------------------------------------------------------------------
 
-_EDGE_BLOCK = 64  # polygon edges per points_in_polygon pass
-
-
 def rasterize(polygon: PolygonMask, bbox_frame: BBox, out_w: int, out_h: int) -> MaskRaster:
     """Rasterize a polygon into an out_h x out_w grid mapped over bbox_frame.
 
     A cell is 1.0 iff its center lies inside the polygon under the even-odd
     rule, else 0.0.  No anti-aliasing: masks are crisp by design so they can
-    be checked against a brute-force point-in-polygon oracle.
+    be checked against a brute-force point-in-polygon oracle.  This is
+    rasterize_rings on one frame.
     """
-    if out_w < 1 or out_h < 1:
-        raise DataError(f"raster size must be >= 1, got {out_w}x{out_h}")
-    cx = bbox_frame.x1 + (np.arange(out_w) + 0.5) * (bbox_frame.width / out_w)
-    cy = bbox_frame.y1 + (np.arange(out_h) + 0.5) * (bbox_frame.height / out_h)
-    inside = points_in_polygon(cx[None, :], cy[:, None], polygon)
+    frame = np.array([[bbox_frame.x1, bbox_frame.y1, bbox_frame.x2, bbox_frame.y2]])
+    inside = rasterize_rings(vertex_rings([polygon]), frame, out_w, out_h)[0]
     return MaskRaster(width=out_w, height=out_h, values=inside.astype(np.float64))
 
 
-def points_in_polygon(px: np.ndarray, py: np.ndarray, polygon: PolygonMask) -> np.ndarray:
-    """Even-odd (ray crossing) inside test, vectorized over points and edges.
+def vertex_rings(polygons: Sequence[PolygonMask]) -> np.ndarray:
+    """(n, v, 2) vertex array of n polygons, v the largest vertex count.
 
-    px and py broadcast against each other, so a row of x and a column of y
-    give a grid, and the result has their broadcast shape.  A point is
-    inside iff the ray from it toward +x crosses an odd number of edges.
-    Edges go in blocks of _EDGE_BLOCK, which bounds memory by the block size
-    times the point count however many vertices the polygon has.
+    A shorter ring is padded by repeating its last vertex.  The padding adds
+    zero-length edges, which no row crosses, and the closing edge still runs
+    from the last vertex to the first, so the padded ring draws the same
+    cells as the polygon.
     """
-    shape = np.broadcast_shapes(np.shape(px), np.shape(py))
-    ring = np.asarray(polygon.vertices, dtype=np.float64)
-    # Edge k runs from vertex k to vertex k + 1; the last one closes the ring.
-    edges = np.concatenate([ring, np.roll(ring, -1, axis=0)], axis=1)
-    edges = edges.reshape(edges.shape + (1,) * len(shape))
-    inside = np.zeros(shape, dtype=bool)
-    for k in range(0, len(edges), _EDGE_BLOCK):
-        x1, y1, x2, y2 = edges[k : k + _EDGE_BLOCK].swapaxes(0, 1)
-        crosses = (y1 > py) != (y2 > py)
-        # Intersection of each edge with the horizontal ray through each point.
-        xint = np.full(crosses.shape, np.inf)
-        np.divide((x2 - x1) * (py - y1), (y2 - y1), out=xint, where=crosses)
-        inside ^= np.logical_xor.reduce(crosses & (px < xint + x1), axis=0)
-    return inside
+    rings = np.empty((len(polygons), max(len(p.vertices) for p in polygons), 2))
+    for ring, polygon in zip(rings, polygons):
+        k = len(polygon.vertices)
+        ring[:k] = polygon.vertices
+        ring[k:] = polygon.vertices[-1]
+    return rings
+
+
+def rasterize_rings(rings: np.ndarray, frames: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """Even-odd masks of n polygons, polygon k drawn in frame k: a bool
+    (n, out_h, out_w) array.
+
+    ``rings`` is a (n, v, 2) vertex array as vertex_rings makes it and
+    ``frames`` a (n, 4) array of (x1, y1, x2, y2) boxes.  Cell centers are
+    ``x1 + (col + 0.5) * ((x2 - x1) / out_w)`` and likewise in y.  A cell
+    is inside iff the ray from its center toward +x crosses an odd number
+    of edges.  Edge (x1, y1) -> (x2, y2) crosses the row at height y iff
+    ``(y1 > y) != (y2 > y)``, at ``(x2 - x1) * (y - y1) / (y2 - y1) + x1``;
+    only crossing edges are divided, so no division is by zero.
+
+    Crossings are counted per row, not per cell, and this is exact.  Each
+    step of the center formula is correctly rounded and monotone, so
+    centers never decrease along a row: a crossing at x lies right of
+    exactly the first ``count`` centers, those below x, and ``count`` is
+    found by bisection, for all crossings at once.  A cell is inside iff an
+    odd number of its row's crossings have ``count > col``.  A closed ring
+    crosses every row an even number of times, so that parity equals the
+    parity of the crossings with ``count <= col``: a running XOR along the
+    row of where each crossing's count falls.  The test compares the same
+    center and crossing values as a per-cell test, so the masks are equal.
+    """
+    if out_w < 1 or out_h < 1:
+        raise DataError(f"raster size must be >= 1, got {out_w}x{out_h}")
+    n, v = rings.shape[:2]
+    fx1, fy1, fx2, fy2 = frames.T
+    cx = fx1[:, None] + (np.arange(out_w) + 0.5) * ((fx2 - fx1) / out_w)[:, None]
+    cy = fy1[:, None] + (np.arange(out_h) + 0.5) * ((fy2 - fy1) / out_h)[:, None]
+    # Edge e of ring k runs from vertex e to vertex e + 1; the last closes it.
+    x1, y1 = rings.transpose(2, 0, 1)
+    x2, y2 = np.roll(rings, -1, axis=1).transpose(2, 0, 1)
+    crosses = (y1[:, None, :] > cy[:, :, None]) != (y2[:, None, :] > cy[:, :, None])
+    # Each crossing's line, k * out_h + row, and its edge, k * v + e.
+    line, e = np.divmod(np.flatnonzero(crosses), v)
+    k = line // out_h
+    edge = k * v + e
+    x1, y1, x2, y2 = (a.ravel()[edge] for a in (x1, y1, x2, y2))
+    xint = (x2 - x1) * (cy.ravel()[line] - y1) / (y2 - y1) + x1
+    # count: the centers below xint.  A probe moves it up to ``probe`` iff
+    # center probe - 1 is below xint; steps halve from the largest power of
+    # two <= out_w.
+    centers, before = cx.ravel(), k * out_w - 1
+    count = np.zeros(len(xint), dtype=np.intp)
+    step = 1 << (out_w.bit_length() - 1)
+    while step:
+        probe = np.minimum(count + step, out_w)
+        count = np.where(centers[before + probe] < xint, probe, count)
+        step >>= 1
+    # toggles[col, line]: how many crossings of the line have count col,
+    # mod 256, which keeps the parity; count out_w toggles no cell.
+    lines = n * out_h
+    toggles = np.bincount(count * lines + line, minlength=(out_w + 1) * lines)
+    toggles = toggles[: out_w * lines].astype(np.uint8).reshape(out_w, lines)
+    for col in range(1, out_w):
+        toggles[col] ^= toggles[col - 1]
+    toggles &= 1
+    return np.ascontiguousarray(toggles.view(bool).T).reshape(n, out_h, out_w)
 
 
 def bbox_iou(a: BBox, b: BBox) -> float:
@@ -372,7 +420,10 @@ def union_bbox(a: BBox, b: BBox) -> BBox:
     )
 
 
-def pair_frame(a: BBox, b: BBox, margin: float = 0.1) -> BBox:
+PAIR_MARGIN = 0.1  # pair_frame's default margin
+
+
+def pair_frame(a: BBox, b: BBox, margin: float = PAIR_MARGIN) -> BBox:
     """Rasterization frame for an object pair: union box grown by a margin.
 
     The margin is a fraction of the union box's width/height added on each

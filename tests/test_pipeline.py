@@ -469,6 +469,28 @@ def test_scene_pair_probs_matches_direct_prediction():
             np.testing.assert_allclose(lookup(s, r), y, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("config", [TINY, rn.RelNetConfig(grid=28, conv1_filters=4,
+                                     conv2_filters=4, fc1_units=8, fc2_units=8)])
+def test_scene_pair_probs_exactly_match_predict_batch_over_pair_samples(config):
+    """scene_pair_probs gives every ordered pair exactly the probabilities
+    predict_batch gives the list of make_pair_sample of all pairs, also on
+    a scene of more than one 256-pair chunk."""
+    params = rn.init_params(config, seed=2)
+    crowded = GenConfig(tanks=(2, 2), blobs=(15, 16), distractor_prob=0.5, seed=7)
+    scenes = gen_scenes(GenConfig(seed=6), 4) + [scene_with_leak(), gen_scenes(crowded, 1)[0]]
+    assert len(scenes[-1].objects) * (len(scenes[-1].objects) - 1) > 256
+    for scene in scenes:
+        lookup = scene_pair_probs(params, scene)
+        pairs = [(s, r) for s in scene.objects for r in scene.objects if s.id != r.id]
+        samples = [
+            rn.make_pair_sample(s, r, scene.image_width, scene.image_height, grid=config.grid)
+            for s, r in pairs
+        ]
+        _labels, want = rn.predict_batch(params, samples)
+        for (s, r), y in zip(pairs, want):
+            assert np.array_equal(lookup(s, r), y)
+
+
 def test_run_inference_report_structure(tmp_path):
     pipe = load_pipeline(write_pipeline_files(tmp_path))
     scene = scene_with_leak()

@@ -19,13 +19,13 @@ from leakscan.errors import ConfigError, DataError, NumericError
 from leakscan.pipeline import COMPACT_RELNET_CONFIG
 from leakscan.relnet import (
     EpochStats,
+    PairBatch,
     PairSample,
     RELATION_ORDER,
     RelNetConfig,
     RelNetParams,
     RelationLabel,
     TrainConfig,
-    all_pair_samples,
     forward,
     init_params,
     load_params,
@@ -33,6 +33,7 @@ from leakscan.relnet import (
     make_pair_sample,
     predict_batch,
     save_params,
+    scene_pair_batch,
     train,
 )
 from leakscan.scene import BBox, ClassLabel, DetectedObject, MaskRaster, PolygonMask
@@ -167,34 +168,72 @@ def test_make_pair_sample_geometry():
     assert s.feature_vector().shape == (16,)
 
 
-def test_all_pair_samples_match_make_pair_sample(monkeypatch):
-    """Every ordered pair equals make_pair_sample, from one rasterize call per
-    object and unordered pair."""
-    calls = []
-    original = relnet.rasterize
-
-    def counting_rasterize(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(relnet, "rasterize", counting_rasterize)
+def test_scene_pair_batch_rows_match_make_pair_sample():
+    """Every row of a scene's pair batch is make_pair_sample's raster and
+    feature vector of that ordered pair, byte for byte, subject outer and
+    reference inner; scenes with fewer than two objects give an empty batch."""
     cfg = scenegen.GenConfig(tanks=(1, 2), blobs=(3, 6), distractor_prob=0.5, seed=4)
     for index in range(6):  # 5 to 10 objects
         scene = scenegen.gen_scene(cfg, index)
         objs = scene.objects
+        pairs = [(s, r) for s in objs for r in objs if s is not r]
         for grid in (12, 28):
-            calls.clear()
-            got = all_pair_samples(objs, scene.image_width, scene.image_height, grid)
-            n = len(objs)
-            assert len(calls) == n * (n - 1)
-            want = [
-                make_pair_sample(s, r, scene.image_width, scene.image_height, grid=grid)
-                for s in objs
-                for r in objs
-                if s is not r
-            ]
-            assert got == want  # raster, v_poi and v_cls, in this order
-    assert all_pair_samples(objs[:1], 100, 100) == all_pair_samples((), 100, 100) == []
+            got = scene_pair_batch(objs, scene.image_width, scene.image_height, grid)
+            assert len(got) == len(pairs)
+            assert got.rasters.shape == (len(pairs), grid, grid)
+            for k, (s, r) in enumerate(pairs):
+                want = make_pair_sample(s, r, scene.image_width, scene.image_height, grid=grid)
+                assert got.rasters[k].tobytes() == want.raster.values.tobytes()
+                assert got.vecs[k].tobytes() == want.feature_vector().tobytes()
+    for few in (objs[:1], ()):
+        for grid in (12, 28):
+            empty = scene_pair_batch(few, 100, 100, grid)
+            assert len(empty) == 0
+            assert empty.rasters.shape == (0, grid, grid) and empty.vecs.shape == (0, 16)
+
+
+def _joined(batches):
+    """One PairBatch of the rows of several, in order."""
+    return PairBatch(
+        np.concatenate([b.rasters for b in batches]), np.concatenate([b.vecs for b in batches])
+    )
+
+
+def test_pair_batch_validation():
+    rasters = np.zeros((2, 12, 12))
+    vecs = np.zeros((2, 16))
+    with pytest.raises(DataError, match=r"\{0, 0.5, 1.0\}"):
+        PairBatch(np.full((2, 12, 12), 0.3), vecs)
+    with pytest.raises(DataError, match="non-finite"):
+        PairBatch(rasters, np.full((2, 16), np.nan))
+    for bad_rasters, bad_vecs in ((rasters[0], vecs), (rasters, vecs[:1]), (rasters, vecs[:, :8])):
+        with pytest.raises(DataError, match="shapes"):
+            PairBatch(bad_rasters, bad_vecs)
+    batch = PairBatch(rasters, vecs)
+    assert len(batch) == 2 and len(batch[1:]) == 1
+    assert not batch.rasters.flags.writeable and not batch.vecs.flags.writeable
+    with pytest.raises(DataError, match="grid"):
+        predict_batch(init_params(TINY, seed=0), PairBatch(np.zeros((1, 8, 8)), vecs[:1]))
+
+
+def test_predict_batch_pair_batch_matches_sample_list_exactly():
+    """A PairBatch and the list of the same samples give the same
+    probabilities bit for bit, over more than one chunk."""
+    cfg = scenegen.GenConfig(tanks=(1, 2), blobs=(3, 6), distractor_prob=0.5, seed=5)
+    scenes = [scenegen.gen_scene(cfg, index) for index in range(8)]
+    batch = _joined(
+        [scene_pair_batch(sc.objects, sc.image_width, sc.image_height, 12) for sc in scenes]
+    )
+    assert len(batch) > relnet._PREDICT_CHUNK
+    samples = [
+        PairSample(MaskRaster(12, 12, raster), vec[:8], vec[8:])
+        for raster, vec in zip(batch.rasters, batch.vecs)
+    ]
+    params = init_params(TINY, seed=3)
+    labels, probs = predict_batch(params, batch)
+    want_labels, want_probs = predict_batch(params, samples)
+    assert labels == want_labels
+    assert np.array_equal(probs, want_probs)
 
 
 def test_train_config_lr_schedule():
@@ -536,8 +575,8 @@ def _three_level_masks(rng, grid, n):
     while len(masks) < n // 2:
         scene = scenegen.gen_scene(cfg, index)
         index += 1
-        samples = all_pair_samples(scene.objects, scene.image_width, scene.image_height, grid)
-        masks += [s.raster.values for s in samples[:12]]
+        batch = scene_pair_batch(scene.objects, scene.image_width, scene.image_height, grid)
+        masks += list(batch.rasters[:12])
     while len(masks) < n:
         p = rng.dirichlet(np.ones(3))
         masks.append(rng.choice([0.0, 0.5, 1.0], size=(grid, grid), p=p))
@@ -665,15 +704,15 @@ def test_predict_batch_never_builds_conv1_pooled_map():
     traced memory: conv2 reads conv1's table, and conv1's pooled map, 103 MB
     at this size, is never built."""
     cfg = scenegen.GenConfig(tanks=(1, 2), blobs=(3, 6), distractor_prob=0.5, seed=34)
-    samples = []
-    for index in range(40):
-        scene = scenegen.gen_scene(cfg, index)
-        samples += all_pair_samples(scene.objects, scene.image_width, scene.image_height)
-    assert len(samples) >= 256
+    scenes = [scenegen.gen_scene(cfg, index) for index in range(40)]
+    samples = _joined(
+        [scene_pair_batch(sc.objects, sc.image_width, sc.image_height) for sc in scenes]
+    )[:256]
+    assert len(samples) == 256
     params = init_params(RelNetConfig(), seed=35)
     tracemalloc.start()
     try:
-        predict_batch(params, samples[:256])
+        predict_batch(params, samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -783,21 +822,24 @@ def test_trained_weights_bit_identical_at_1_2_4_blas_threads():
 
 
 _PREDICT_AND_HASH = """
-import dataclasses, hashlib
+import hashlib
 import numpy as np
 from leakscan import relnet, scenegen
-from leakscan.scene import MaskRaster
 cfg = scenegen.GenConfig(tanks=(1, 2), blobs=(3, 6), distractor_prob=0.5, seed=39)
-samples = []
+rasters, vecs = [], []
 index = 0
-while len(samples) < 260:
+while sum(map(len, rasters)) < 260:
     scene = scenegen.gen_scene(cfg, index)
-    samples += relnet.all_pair_samples(scene.objects, scene.image_width, scene.image_height)
+    batch = relnet.scene_pair_batch(scene.objects, scene.image_width, scene.image_height)
+    rasters.append(batch.rasters)
+    vecs.append(batch.vecs)
     index += 1
 rng = np.random.default_rng(40)
-for s in samples[:40]:  # random three-level masks repeat few windows
-    values = rng.choice([0.0, 0.5, 1.0], size=(28, 28), p=rng.dirichlet(np.ones(3)))
-    samples.append(dataclasses.replace(s, raster=MaskRaster(28, 28, values)))
+# Random three-level masks repeat few windows.
+rasters.append([rng.choice([0.0, 0.5, 1.0], size=(28, 28), p=rng.dirichlet(np.ones(3)))
+                for _ in range(40)])
+vecs.append(np.concatenate(vecs)[:40])
+samples = relnet.PairBatch(np.concatenate(rasters), np.concatenate(vecs))
 params = relnet.init_params(relnet.RelNetConfig(), seed=41)
 print(hashlib.sha256(relnet.predict_batch(params, samples)[1].tobytes()).hexdigest())
 """

@@ -20,11 +20,12 @@ from leakscan.scene import (
     class_vector,
     pair_frame,
     parse_scene_json,
-    points_in_polygon,
     position_vector,
     rasterize,
+    rasterize_rings,
     serialize_scene,
     union_bbox,
+    vertex_rings,
 )
 from leakscan.scenegen import GenConfig, gen_scene
 
@@ -94,6 +95,10 @@ def test_mask_raster_validation():
         MaskRaster(width=3, height=2, values=np.zeros((3, 3)))
     with pytest.raises(DataError, match="outside"):
         MaskRaster(width=2, height=2, values=np.full((2, 2), 1.5))
+    for bad in (np.nan, np.inf, -np.inf):  # NaN fails every comparison
+        values = np.array([[0.0, 1.0], [0.5, bad]])
+        with pytest.raises(DataError, match="outside"):
+            MaskRaster(width=2, height=2, values=values)
     m = MaskRaster(width=2, height=2, values=np.array([[0.0, 1.0], [0.5, 1.0]]))
     assert m.filled_fraction() == pytest.approx(0.625)
     assert m == MaskRaster(width=2, height=2, values=np.array([[0.0, 1.0], [0.5, 1.0]]))
@@ -304,6 +309,35 @@ def _inside_slow(x, y, verts):
     return inside
 
 
+_EDGE_BLOCK = 64  # polygon edges per points_in_polygon pass
+
+
+def points_in_polygon(px, py, polygon):
+    """Even-odd (ray crossing) inside test, vectorized over points and
+    edges, one point at a time rather than one row: a grid oracle for
+    rasterize_rings.
+
+    px and py broadcast against each other, so a row of x and a column of y
+    give a grid, and the result has their broadcast shape.  A point is
+    inside iff the ray from it toward +x crosses an odd number of edges.
+    Edges go in blocks of _EDGE_BLOCK.
+    """
+    shape = np.broadcast_shapes(np.shape(px), np.shape(py))
+    ring = np.asarray(polygon.vertices, dtype=np.float64)
+    # Edge k runs from vertex k to vertex k + 1; the last one closes the ring.
+    edges = np.concatenate([ring, np.roll(ring, -1, axis=0)], axis=1)
+    edges = edges.reshape(edges.shape + (1,) * len(shape))
+    inside = np.zeros(shape, dtype=bool)
+    for k in range(0, len(edges), _EDGE_BLOCK):
+        x1, y1, x2, y2 = edges[k : k + _EDGE_BLOCK].swapaxes(0, 1)
+        crosses = (y1 > py) != (y2 > py)
+        # Intersection of each edge with the horizontal ray through each point.
+        xint = np.full(crosses.shape, np.inf)
+        np.divide((x2 - x1) * (py - y1), (y2 - y1), out=xint, where=crosses)
+        inside ^= np.logical_xor.reduce(crosses & (px < xint + x1), axis=0)
+    return inside
+
+
 def test_points_in_polygon_matches_slow_oracle():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -396,6 +430,131 @@ def test_points_in_polygon_matches_per_edge_reference():
             points_in_polygon(qx, qy, poly), _points_in_polygon_per_edge(qx, qy, poly)
         )
     assert saw_horizontal and saw_on_centre
+
+
+def _cell_centers(frame, out_w, out_h):
+    """Cell-center x (out_w,) and y (out_h,) of a frame, as rasterize_rings
+    defines them."""
+    cx = frame.x1 + (np.arange(out_w) + 0.5) * (frame.width / out_w)
+    cy = frame.y1 + (np.arange(out_h) + 0.5) * (frame.height / out_h)
+    return cx, cy
+
+
+def _oracle_mask(poly, frame, out_w, out_h):
+    """The polygon's mask by the per-edge reference, checked against the
+    scalar per-point test at every cell."""
+    cx, cy = _cell_centers(frame, out_w, out_h)
+    px, py = np.meshgrid(cx, cy)
+    want = _points_in_polygon_per_edge(px, py, poly)
+    slow = [[_inside_slow(x, y, poly.vertices) for x in cx] for y in cy]
+    assert want.tolist() == slow
+    return want
+
+
+def _rasterize_all(cases, out_w, out_h):
+    """rasterize_rings over (polygon, frame) cases in one batch."""
+    rings = vertex_rings([poly for poly, _ in cases])
+    frames = np.array([[f.x1, f.y1, f.x2, f.y2] for _, f in cases])
+    return rasterize_rings(rings, frames, out_w, out_h)
+
+
+def _edge_cases():
+    """(name, polygon, frame) cases on a 14x14 frame with cell centers at
+    k + 0.5, or on shifted, scaled and partial frames."""
+    unit = BBox(0.0, 0.0, 14.0, 14.0)
+    star = tuple(
+        (7.0 + (6.0 if k % 2 else 3.0) * math.cos(2 * math.pi * k / 100),
+         7.0 + (6.0 if k % 2 else 3.0) * math.sin(2 * math.pi * k / 100))
+        for k in range(100)
+    )
+    cases = [
+        # A vertex on the center row y = 3.5 and one on the center (9.5, 9.5).
+        ("vertex on a center row", ((2.0, 3.5), (11.0, 1.0), (9.5, 9.5)), unit),
+        # At y = 6.5 the edge (2.5, 4.5) -> (6.5, 8.5) meets x = 4.5, a center.
+        ("crossing at a center", ((2.5, 4.5), (6.5, 8.5), (12.0, 2.0)), unit),
+        ("axis-aligned rectangle", ((2.5, 3.5), (9.5, 3.5), (9.5, 10.5), (2.5, 10.5)), unit),
+        ("L shape", ((1.0, 1.0), (8.0, 1.0), (8.0, 5.0), (4.0, 5.0), (4.0, 12.0), (1.0, 12.0)), unit),
+        ("bow-tie", ((2.0, 2.0), (12.0, 12.0), (12.0, 2.0), (2.0, 12.0)), unit),
+        ("partly outside", ((-5.0, 4.0), (9.0, -3.0), (20.0, 9.5), (6.5, 18.0)), unit),
+        ("wholly outside", ((20.0, 20.0), (30.0, 21.0), (25.0, 29.0)), unit),
+        ("covers the frame", ((-1.0, -1.0), (15.0, -1.0), (15.0, 15.0), (-1.0, 15.0)), unit),
+        ("100-vertex star", star, unit),
+        ("shifted frame", ((2.0, 3.5), (11.0, 1.0), (9.5, 9.5)), BBox(-0.7, 1.3, 12.9, 10.1)),
+    ]
+    return [(name, PolygonMask(verts), frame) for name, verts, frame in cases]
+
+
+@pytest.mark.parametrize("out_w, out_h", [(14, 14), (12, 9), (1, 1)])
+def test_rasterize_rings_matches_oracle_on_edge_cases(out_w, out_h):
+    """Every edge case equals the brute-force oracles, drawn in one batch of
+    mixed vertex counts (3 to 100) and alone."""
+    cases = _edge_cases()
+    masks = _rasterize_all([(poly, frame) for _, poly, frame in cases], out_w, out_h)
+    assert masks.shape == (len(cases), out_h, out_w) and masks.dtype == bool
+    for (name, poly, frame), got in zip(cases, masks):
+        want = _oracle_mask(poly, frame, out_w, out_h)
+        assert np.array_equal(got, want), name
+        alone = rasterize(poly, frame, out_w, out_h).values
+        assert np.array_equal(alone, want.astype(np.float64)), name
+
+
+def test_rasterize_rings_matches_oracle_on_random_batches():
+    """Random rings, lattice (horizontal and vertical edges, vertices on
+    centers) or uniform (self-intersecting), 3 to 200 vertices, in random
+    frames, one batch per grid size, equal the per-edge reference."""
+    rng = np.random.default_rng(8)
+    for out_w, out_h in ((14, 14), (12, 9), (28, 28)):
+        cases = []
+        for trial in range(60):
+            n = int(rng.integers(3, 12)) if trial % 10 else int(rng.integers(65, 200))
+            x1, y1 = rng.uniform(-4.0, 4.0, size=2)
+            w, h = rng.uniform(2.0, 20.0, size=2)
+            frame = BBox(0.0, 0.0, 14.0, 14.0) if trial % 3 == 0 else BBox(x1, y1, x1 + w, y1 + h)
+            cases.append((_random_ring(rng, n), frame))
+        masks = _rasterize_all(cases, out_w, out_h)
+        for (poly, frame), got in zip(cases, masks):
+            cx, cy = _cell_centers(frame, out_w, out_h)
+            px, py = np.meshgrid(cx, cy)
+            assert np.array_equal(got, _points_in_polygon_per_edge(px, py, poly))
+
+
+def test_rasterize_rings_matches_oracle_at_rounding_boundaries():
+    """A cell center equal to a crossing to the last bit is not left of it.
+    Crossings and centers are computed as the docstring writes them; either
+    formula reassociated moves its value by one ulp here and flips a cell."""
+    # The edge (x1, y1) -> (x2, y2) crosses the row y at xint, one ulp away
+    # from x1 + (x2 - x1) / (y2 - y1) * (y - y1).  One cell, centered there.
+    x1, y1, x2, y2, y = 0.903, 5.368, 2.893, 2.536, 3.179
+    xint = (x2 - x1) * (y - y1) / (y2 - y1) + x1
+    assert xint != x1 + (x2 - x1) / (y2 - y1) * (y - y1)
+    on_crossing = BBox(xint - 0.5, y - 0.5, xint + 0.5, y + 0.5)
+    assert [c.tolist() for c in _cell_centers(on_crossing, 1, 1)] == [[xint], [y]]
+    tri = PolygonMask(((x1, y1), (x2, y2), (10.0, 4.0)))
+    # Center 13 of 15 over [0, 16.71] is one ulp above 13.5 * 16.71 / 15;
+    # a vertical edge stands on it.
+    x = 13.5 * (16.71 / 15)
+    assert x != 13.5 * 16.71 / 15
+    on_center = BBox(0.0, 0.0, 16.71, 1.0)
+    assert _cell_centers(on_center, 15, 1)[0][13] == x
+    rect = PolygonMask(((x, -1.0), (20.0, -1.0), (20.0, 2.0), (x, 2.0)))
+    for poly, frame, out_w, want in (
+        (tri, on_crossing, 1, [True]),
+        (rect, on_center, 15, [False] * 13 + [True] * 2),
+    ):
+        (got,) = _rasterize_all([(poly, frame)], out_w, 1)
+        assert got.tolist() == [want]
+        cx, cy = _cell_centers(frame, out_w, 1)
+        px, py = np.meshgrid(cx, cy)
+        assert np.array_equal(got, _points_in_polygon_per_edge(px, py, poly))
+
+
+def test_vertex_rings_pad_with_the_last_vertex():
+    tri = PolygonMask(((0.0, 0.0), (4.0, 0.0), (0.0, 3.0)))
+    quad = PolygonMask(((1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)))
+    rings = vertex_rings([tri, quad])
+    assert rings.shape == (2, 4, 2)
+    assert rings[0].tolist() == [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0], [0.0, 3.0]]
+    assert rings[1].tolist() == [list(v) for v in quad.vertices]
 
 
 def test_rasterize_full_cover_and_size_validation():
