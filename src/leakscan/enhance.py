@@ -1,19 +1,24 @@
 """Split-histogram contrast enhancement with multi-objective split selection.
 
 The enhancement pipeline equalizes the two sub-histograms on either side of a
-split intensity t, then picks t by exhaustively scoring every candidate with
-three bounded objectives: brightness preservation (BPS), contrast gain (OCS)
-and detail preservation (DPS), derived from the relative brightness
-difference (RBD), relative contrast difference (RCD) and average structural
-difference (ASD) between the input and the candidate.  Color images are
-enhanced on the Y channel of YCrCb space only.
+split intensity t, then picks the t among 0..254 that maximizes a weighted
+aggregate of three bounded objectives: brightness preservation (BPS),
+contrast gain (OCS) and detail preservation (DPS), derived from the relative
+brightness difference (RBD), relative contrast difference (RCD) and average
+structural difference (ASD) between the input and the candidate.  Color
+images are enhanced on the Y channel of YCrCb space only.
 
-The split search never builds a candidate image.  Once per image it takes
-the histogram, the input's mean and std and an edge-padded copy of the pixel
-levels; each split then costs one 256-entry LUT and two gathers at the
-pixels.  Its metrics equal those of `metrics` on the materialised candidate
-bit for bit, so the brute force over `apply_lut` and `metrics` stays the
-definition (see `optimize_split`).
+The split search never builds a candidate image, and it returns what the
+exhaustive search over all 255 candidates returns.  Once per image it
+builds every split's LUT in one batched pass, RBD and RCD from exact integer
+moments of the histogram (O(256) per split), and an exact lower bound on
+every split's ASD from a co-occurrence count of neighbouring levels (one
+256-wide integer-valued GEMM).  These bound every split's aggregate from
+above, so the exact ASD, a gather at the pixels, is taken only for the
+splits whose bound can still reach the best aggregate found.  The metrics it
+reports equal those of `metrics` on the materialised candidate bit for bit,
+so the brute force over `apply_lut` and `metrics` stays the definition (see
+`optimize_split`).
 
 All operations are pure functions over immutable images; the split search is
 deterministic with ties broken toward the smaller t.
@@ -135,28 +140,40 @@ def ycrcb_to_rgb(y: GrayImage, cr: GrayImage, cb: GrayImage) -> ColorImage:
 # Equalization LUTs
 # ---------------------------------------------------------------------------
 
+_LEVELS = np.arange(256, dtype=np.int64)
+
+
+def _histogram(img: GrayImage) -> np.ndarray:
+    return np.bincount(img.pixels.ravel(), minlength=256)
+
+
 def classic_he(img: GrayImage) -> np.ndarray:
     """Classic histogram-equalization LUT: lut[v] = round(255 * cdf(v))."""
-    hist = np.bincount(img.pixels.ravel(), minlength=256)
-    cdf = np.cumsum(hist) / img.pixels.size
+    cdf = np.cumsum(_histogram(img)) / img.pixels.size
     return _round_half_up(255.0 * cdf)
 
 
-def _split_lut(hist: np.ndarray, t: int) -> np.ndarray:
-    """Split-histogram equalization LUT of a 256-bin histogram (see bi_he)."""
-    lut = np.arange(256, dtype=np.int64)
-    lo = hist[: t + 1]
-    lo_total = lo.sum()
-    if lo_total > 0:
-        cdf_lo = np.cumsum(lo) / lo_total
-        lut[: t + 1] = _round_half_up(t * cdf_lo)
-    if t < 255:
-        hi = hist[t + 1 :]
-        hi_total = hi.sum()
-        if hi_total > 0:
-            cdf_hi = np.cumsum(hi) / hi_total
-            lut[t + 1 :] = (t + 1) + _round_half_up((254 - t) * cdf_hi)
-    return lut
+def _split_luts(hist: np.ndarray, ts) -> np.ndarray:
+    """Split-histogram equalization LUTs of a 256-bin histogram, one row per t in ts.
+
+    With cs the integer cumulative histogram and n its total, row t maps a
+    level u <= t to t * (cs[u] / cs[t]) and a level u > t to
+    (t+1) + (254-t) * ((cs[u] - cs[t]) / (n - cs[t])), each rounded half up
+    (see bi_he).  A sub-range holding no pixels keeps the identity; its zero
+    total becomes 1 before the division, so that nothing warns.
+    """
+    cs = np.cumsum(hist)
+    t = np.asarray(ts)[:, None]
+    upper = _LEVELS > t
+    lo_total = cs[t]
+    total = np.where(upper, cs[-1] - lo_total, lo_total)
+    empty = total == 0
+    total[empty] = 1
+    cdf = np.where(upper, cs - lo_total, cs) / total
+    cdf *= np.where(upper, 254 - t, t)
+    lut = _round_half_up(cdf)
+    lut += np.where(upper, t + 1, 0)
+    return np.where(empty, _LEVELS, lut)
 
 
 def bi_he(img: GrayImage, t: int) -> np.ndarray:
@@ -169,7 +186,7 @@ def bi_he(img: GrayImage, t: int) -> np.ndarray:
     """
     if not (0 <= t <= 255):
         raise DataError(f"split level must be in 0..255, got {t}")
-    return _split_lut(np.bincount(img.pixels.ravel(), minlength=256), t)
+    return _split_luts(_histogram(img), [t])[0]
 
 
 def apply_lut(img: GrayImage, lut: np.ndarray) -> GrayImage:
@@ -187,16 +204,39 @@ def _laplacian(pixels: np.ndarray) -> np.ndarray:
     return p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * x
 
 
+def _mean_std(hist: np.ndarray, luts: np.ndarray) -> list[tuple[float, float]]:
+    """Mean and std of lut[v] over a histogram's pixels, for each row of luts.
+
+    Both come from the exact integer moments s1 = lut @ hist and
+    s2 = (lut * lut) @ hist.  The mean s1 / n is the correctly rounded
+    quotient np.mean takes too.  The variance (n*s2 - s1*s1) / n**2 is one
+    exact rational rounded once, then its square root is taken, so the std
+    depends on no summation order.  This one-pass formula cancels badly in
+    floating point and is exact in integers (Chan, Golub and LeVeque, 1983).
+    """
+    n = int(hist.sum())
+    s1 = (luts @ hist).tolist()
+    s2 = ((luts * luts) @ hist).tolist()
+    return [(a / n, math.sqrt((n * b - a * a) / (n * n))) for a, b in zip(s1, s2)]
+
+
+def _rbd_rcd(
+    input_ms: tuple[float, float], candidate_ms: tuple[float, float]
+) -> tuple[float, float]:
+    """Brightness and contrast differences from the (mean, std) of both images."""
+    (mean_a, std_a), (mean_b, std_b) = input_ms, candidate_ms
+    return abs(mean_b - mean_a) / 255.0, (std_b - std_a) / max(std_a, _STD_EPS)
+
+
 def metrics(input_img: GrayImage, candidate: GrayImage) -> tuple[float, float, float]:
     """Brightness, contrast and structural differences (rbd, rcd, asd)."""
     if (input_img.width, input_img.height) != (candidate.width, candidate.height):
         raise DataError("metrics need images of identical dimensions")
-    a = input_img.pixels.astype(np.float64)
-    b = candidate.pixels.astype(np.float64)
-    rbd = abs(float(b.mean()) - float(a.mean())) / 255.0
-    std_a = float(a.std())
-    rcd = (float(b.std()) - std_a) / max(std_a, _STD_EPS)
-    asd = float(np.abs(_laplacian(b) - _laplacian(a)).mean()) / 255.0
+    (ms_a,) = _mean_std(_histogram(input_img), _LEVELS[None])
+    (ms_b,) = _mean_std(_histogram(candidate), _LEVELS[None])
+    rbd, rcd = _rbd_rcd(ms_a, ms_b)
+    lap_diff = _laplacian(candidate.pixels) - _laplacian(input_img.pixels)
+    asd = float(np.abs(lap_diff).mean()) / 255.0
     return rbd, rcd, asd
 
 
@@ -208,37 +248,78 @@ def scores(rbd: float, rcd: float, asd: float) -> tuple[float, float, float]:
     return bps, ocs, dps
 
 
-def _split_metrics(img: GrayImage):
-    """Yield (t, rbd, rcd, asd) for t in 0..254 without building candidates.
+def _lap_bounds(pixels: np.ndarray, hist: np.ndarray, luts: np.ndarray) -> np.ndarray:
+    """Per LUT row, an exact lower bound on sum_p |lap(lut[x] - x)(p)|.
 
-    Each triple equals metrics(img, apply_lut(img, bi_he(img, t))) bit for
-    bit.  The candidate's pixel sum is the exact integer lut @ hist, so its
-    mean is the same correctly rounded quotient np.mean takes.  Its squared
-    deviations come from a 256-entry table gathered at the pixels and are
-    summed over an array of the image's shape, in np.std's order.  ASD is the
-    Laplacian of the integer difference lut[v] - v gathered at the padded
-    pixels, as lap(b) - lap(a) = lap(b - a); every term is an integer below
-    2**15, so int16 holds it and the int64 sum is exact.
+    With d = lut - levels, pixel p's Laplacian response is the sum of d over
+    its four edge-padded neighbours' levels minus 4*d[x_p].  Summed over the
+    pixels at level c it is (C @ d)[c] - 4*hist[c]*d[c], where C[c, u] counts
+    the (pixel at level c, neighbour at level u) pairs; by the triangle
+    inequality the sum of its magnitudes over c is at most the sum of |lap|
+    over the pixels.  C counts each adjacent pair both ways and a border
+    pixel's replicated neighbour on its diagonal, so it is symmetric.  Every
+    product and partial sum of the float64 GEMM is an integer below
+    1020*n < 2**53, so it is exact in any order and at any thread count.
     """
-    n = img.pixels.size
-    hist = np.bincount(img.pixels.ravel(), minlength=256)
-    a = img.pixels.astype(np.float64)
-    mean_a = float(a.mean())
-    std_a = float(a.std())
-    levels = np.arange(256)
-    idx = img.pixels.astype(np.intp)
-    padded = np.pad(idx, 1, mode="edge")
-    for t in range(255):
-        lut = _split_lut(hist, t)
-        mean_b = int(lut @ hist) / n
-        rbd = abs(mean_b - mean_a) / 255.0
-        dev = lut - mean_b
-        std_b = float(np.sqrt(np.add.reduce((dev * dev)[idx], axis=None) / n))
-        rcd = (std_b - std_a) / max(std_a, _STD_EPS)
-        d = (lut - levels).astype(np.int16)[padded]
-        lap = d[:-2, 1:-1] + d[2:, 1:-1] + d[1:-1, :-2] + d[1:-1, 2:] - 4 * d[1:-1, 1:-1]
-        asd = float(np.abs(lap).sum(dtype=np.int64)) / n / 255.0
-        yield t, rbd, rcd, asd
+    x = pixels.astype(np.uint16)
+    pairs = np.bincount(((x[:, :-1] << 8) | x[:, 1:]).ravel(), minlength=65536)
+    pairs += np.bincount(((x[:-1] << 8) | x[1:]).ravel(), minlength=65536)
+    pairs = pairs.reshape(256, 256)
+    pairs = pairs + pairs.T
+    for edge in (x[0], x[-1], x[:, 0], x[:, -1]):
+        pairs[_LEVELS, _LEVELS] += np.bincount(edge, minlength=256)
+    d = (luts - _LEVELS).astype(np.float64)
+    level_sums = d @ pairs.astype(np.float64)
+    level_sums -= 4.0 * hist * d
+    return np.abs(level_sums).sum(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Splits:
+    """One image's splits t = 0..254, prepared once for the split search.
+
+    luts[t] is bi_he's LUT for split t; rbd[t] and rcd[t] are exact, from
+    the LUT and the histogram; lap_bound[t] bounds the candidate's summed
+    |Laplacian difference| from below (_lap_bounds); padded holds the
+    edge-padded pixel levels that the exact ASD gathers at.
+    """
+
+    n: int
+    luts: np.ndarray
+    rbd: tuple[float, ...]
+    rcd: tuple[float, ...]
+    lap_bound: np.ndarray
+    padded: np.ndarray
+
+
+def _splits(img: GrayImage) -> _Splits:
+    hist = _histogram(img)
+    luts = _split_luts(hist, np.arange(255))
+    (input_ms,) = _mean_std(hist, _LEVELS[None])
+    rbd, rcd = zip(*(_rbd_rcd(input_ms, ms) for ms in _mean_std(hist, luts)))
+    lap_bound = _lap_bounds(img.pixels, hist, luts)
+    padded = np.pad(img.pixels.astype(np.intp), 1, mode="edge")
+    return _Splits(img.pixels.size, luts, rbd, rcd, lap_bound, padded)
+
+
+def _split_metrics(s: _Splits, t: int) -> tuple[float, float, float]:
+    """(rbd, rcd, asd) of split t, without building the candidate.
+
+    The triple equals metrics(img, apply_lut(img, bi_he(img, t))) bit for
+    bit.  ASD is the Laplacian of the integer difference lut[v] - v gathered
+    at the padded pixels, as lap(b) - lap(a) = lap(b - a); every term is an
+    integer below 2**15, so int16 holds it and the int64 sum is exact.
+    """
+    d = (s.luts[t] - _LEVELS).astype(np.int16)[s.padded]
+    lap = d[:-2, 1:-1] + d[2:, 1:-1] + d[1:-1, :-2] + d[1:-1, 2:] - 4 * d[1:-1, 1:-1]
+    asd = float(np.abs(lap).sum(dtype=np.int64)) / s.n / 255.0
+    return s.rbd[t], s.rcd[t], asd
+
+
+#: The pruning margin, in ulps of the weight sum.  It covers the few ulps
+#: by which numpy's array exp may differ from its scalar exp, or fail to be
+#: monotone.
+_MARGIN_ULPS = 1024
 
 
 def optimize_split(
@@ -247,24 +328,54 @@ def optimize_split(
 ) -> tuple[int, EnhanceReport]:
     """Pick the split t in 0..254 maximizing the weighted score aggregate.
 
-    The search is exhaustive over all 255 candidates, so the brute-force
-    re-evaluation in the tests is the definition.  Ties go to the smaller t.
-    The histogram, the input's mean and std and a padded copy of its pixels
-    are computed once; per split, RBD comes from the LUT and the histogram,
-    and RCD and ASD from one gather each at the pixels (`_split_metrics`).
-    Every metric equals what `metrics` gives on the candidate image, bit for
-    bit, so the chosen t and the report do too.
+    The result equals the exhaustive search over all 255 candidates, so the
+    brute force over `apply_lut` and `metrics` stays the definition.  Ties go
+    to the smaller t.
+
+    RBD and RCD cost O(256) per split (`_splits`); only ASD needs a gather
+    at the pixels.  So the search bounds every split's aggregate from above,
+    with ASD replaced by its exact lower bound (`_lap_bounds`), and visits
+    the splits by decreasing bound, ties by smaller t.  It scores a split
+    exactly (`_split_metrics`, then `scores`) only while the split could
+    still win: while its bound plus a margin exceeds the best aggregate so
+    far, or equals it at a smaller t.  The bound is computed with array
+    arithmetic in the same order as the aggregate, and rounding is monotone,
+    so it can fall below the exact aggregate only by the few ulps that exp
+    adds; the margin of _MARGIN_ULPS ulps of the weight sum covers them.
+    Without weight on the two exp terms the bound is exact and the margin
+    is 0.  So no split that could win is skipped, and the exact scores of
+    the visited splits decide.
+
+    On the benchmark's images one or two splits are scored.  Exact ties on
+    the bound are all scored, and so are the splits of an image whose ASD
+    bound is loose when ASD carries most of the weight: weights (0, 0, 1)
+    score up to all 255.
     """
-    if not all(math.isfinite(w) and w >= 0 for w in weights) or not any(weights):
+    if (
+        not all(math.isfinite(w) and w >= 0 for w in weights)
+        or not any(weights)
+        or not math.isfinite(sum(weights))
+    ):
         raise ConfigError(
-            f"weights must be finite, >= 0 and not all zero, got {weights}"
+            "weights must be finite, >= 0 and not all zero, with a finite sum, "
+            f"got {weights}"
         )
     w_b, w_o, w_d = weights
+    s = _splits(img)
+    bound = (
+        w_b * np.exp(-K_BRIGHTNESS * np.array(s.rbd))
+        + w_o * np.clip(np.array(s.rcd) / R_TARGET, 0.0, 1.0)
+        + w_d * np.exp(-K_DETAIL * (s.lap_bound / s.n / 255.0))
+    )
+    margin = _MARGIN_ULPS * math.ulp(w_b + w_o + w_d) if w_b or w_d else 0.0
     best: EnhanceReport | None = None
-    for t, rbd, rcd, asd in _split_metrics(img):
+    for t in np.argsort(-bound, kind="stable").tolist():
+        if best is not None and (bound[t], -t) <= (best.aggregate - margin, -best.t):
+            break
+        rbd, rcd, asd = _split_metrics(s, t)
         bps, ocs, dps = scores(rbd, rcd, asd)
         aggregate = w_b * bps + w_o * ocs + w_d * dps
-        if best is None or aggregate > best.aggregate:
+        if best is None or (aggregate, -t) > (best.aggregate, -best.t):
             best = EnhanceReport(t, rbd, rcd, asd, bps, ocs, dps, aggregate)
     assert best is not None
     return best.t, best

@@ -40,10 +40,9 @@ def read_pnm(path: str) -> np.ndarray:
     fields = []
     for _ in range(3):
         tok, pos = _read_header_token(data, pos)
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise DataError(f"bad PNM header field {tok!r}") from None
+        if not tok.isdigit():  # ASCII decimal digits only: no sign, no "_"
+            raise DataError(f"bad PNM header field {tok!r}")
+        fields.append(int(tok))
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise DataError(f"bad PNM dimensions {width}x{height}")

@@ -194,6 +194,21 @@ def test_usage_errors_exit_1(capsys):
     assert main([]) == 1  # subcommand required
 
 
+def test_enhance_weights_with_overflowing_sum_exit_1(tmp_path, capsys):
+    # Each weight is finite, but their sum is not: an aggregate could overflow
+    # and the report would hold Infinity, which is not JSON.
+    src = tmp_path / "lc.pgm"
+    rng = np.random.default_rng(11)
+    write_pnm(str(src), rng.integers(110, 146, size=(32, 32), dtype=np.uint8))
+    report = tmp_path / "r.json"
+    assert main(
+        ["enhance", str(src), "--out", str(tmp_path / "o.pgm"),
+         "--weights", "1e308,1e308,1e308", "--report", str(report)]
+    ) == 1
+    assert "weights must be finite" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_config_errors_exit_1(tmp_path, capsys):
     assert main(
         ["infer", "--config", str(tmp_path / "missing.json"), "--scene", "s.json"]

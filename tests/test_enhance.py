@@ -6,6 +6,7 @@ import pytest
 from leakscan.errors import ConfigError, DataError
 from leakscan.enhance import (
     ColorImage,
+    EnhanceReport,
     GrayImage,
     R_TARGET,
     apply_lut,
@@ -18,7 +19,13 @@ from leakscan.enhance import (
     scores,
     ycrcb_to_rgb,
 )
-from leakscan.enhance import _split_metrics
+from leakscan.enhance import (
+    _laplacian,
+    _round_half_up,
+    _split_luts,
+    _split_metrics,
+    _splits,
+)
 
 
 def random_gray(rng, w=32, h=32, lo=0, hi=256):
@@ -139,6 +146,7 @@ def _split_metrics_cases():
     color = ColorImage.from_array(rng.integers(60, 200, size=(21, 18, 3), dtype=np.uint8))
     two_level = np.zeros((6, 9), dtype=np.uint8)
     two_level[:, 4:] = 255
+    yy, xx = np.mgrid[0:48, 0:40]
     return {
         "1x1": np.array([[77]], dtype=np.uint8),
         "1xN": rng.integers(0, 256, size=(1, 37), dtype=np.uint8),
@@ -149,22 +157,78 @@ def _split_metrics_cases():
         "bright-only": rng.integers(200, 256, size=(15, 11), dtype=np.uint8),
         "dark-only": rng.integers(0, 40, size=(11, 15), dtype=np.uint8),
         "color-Y": rgb_to_ycrcb(color)[0].pixels,
-        # Past numpy's 8192-element pairwise-summation block.
+        # Past numpy's 8192-element pairwise-summation block (metrics' ASD mean).
         "512x512": rng.integers(0, 256, size=(512, 512), dtype=np.uint8),
+        "smooth": (60 + 2 * xx + yy).astype(np.uint8),
     }
 
 
 SPLIT_METRICS_CASES = _split_metrics_cases()
 
 
+def _split_lut(hist, t):
+    """Split-histogram equalization LUT for one split, entry by entry (the oracle)."""
+    lut = np.arange(256, dtype=np.int64)
+    lo = hist[: t + 1]
+    lo_total = lo.sum()
+    if lo_total > 0:
+        cdf_lo = np.cumsum(lo) / lo_total
+        lut[: t + 1] = _round_half_up(t * cdf_lo)
+    if t < 255:
+        hi = hist[t + 1 :]
+        hi_total = hi.sum()
+        if hi_total > 0:
+            cdf_hi = np.cumsum(hi) / hi_total
+            lut[t + 1 :] = (t + 1) + _round_half_up((254 - t) * cdf_hi)
+    return lut
+
+
+@pytest.mark.parametrize("name", list(SPLIT_METRICS_CASES))
+def test_split_luts_match_per_split_oracle_exactly(name):
+    img = GrayImage.from_array(SPLIT_METRICS_CASES[name])
+    hist = np.bincount(img.pixels.ravel(), minlength=256)
+    want = np.stack([_split_lut(hist, t) for t in range(256)])
+    assert np.array_equal(_split_luts(hist, np.arange(256)), want)
+    assert all(np.array_equal(bi_he(img, t), want[t]) for t in range(256))
+
+
 @pytest.mark.parametrize("name", list(SPLIT_METRICS_CASES))
 def test_split_metrics_equal_metrics_bit_for_bit(name):
     img = GrayImage.from_array(SPLIT_METRICS_CASES[name])
-    got = list(_split_metrics(img))
-    assert [t for t, *_ in got] == list(range(255))
-    for t, rbd, rcd, asd in got:
+    s = _splits(img)
+    for t in range(255):
         want = metrics(img, apply_lut(img, bi_he(img, t)))
-        assert (rbd, rcd, asd) == want, f"t={t}"
+        assert _split_metrics(s, t) == want, f"t={t}"
+
+
+@pytest.mark.parametrize("name", list(SPLIT_METRICS_CASES))
+def test_asd_bound_exact_lower_bound(name):
+    # The bound is the per-level grouping of the Laplacian responses, exactly,
+    # and never exceeds the candidate's summed |Laplacian difference|.
+    img = GrayImage.from_array(SPLIT_METRICS_CASES[name])
+    s = _splits(img)
+    levels = img.pixels.ravel()
+    for t in range(255):
+        lap = _laplacian(s.luts[t][img.pixels]) - _laplacian(img.pixels)
+        grouped = np.abs(np.bincount(levels, weights=lap.ravel(), minlength=256)).sum()
+        assert s.lap_bound[t] == grouped <= np.abs(lap).sum(), f"t={t}"
+
+
+@pytest.mark.parametrize("name", list(SPLIT_METRICS_CASES))
+def test_pruned_split_search_matches_exhaustive(name):
+    img = GrayImage.from_array(SPLIT_METRICS_CASES[name])
+    s = _splits(img)
+    exact = [_split_metrics(s, t) for t in range(255)]
+    rng = np.random.default_rng(9)
+    for weights in [(1.0, 1.0, 1.0), tuple(rng.uniform(0.0, 2.0, 3)),
+                    (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]:
+        reports = []
+        for t, m in enumerate(exact):
+            bps, ocs, dps = scores(*m)
+            aggregate = weights[0] * bps + weights[1] * ocs + weights[2] * dps
+            reports.append(EnhanceReport(t, *m, bps, ocs, dps, aggregate))
+        want = max(reports, key=lambda r: (r.aggregate, -r.t))  # ties -> smaller t
+        assert optimize_split(img, weights) == (want.t, want), weights
 
 
 def test_optimize_split_weight_validation():
@@ -176,6 +240,15 @@ def test_optimize_split_weight_validation():
     for bad in [(float("nan"), 1.0, 1.0), (float("inf"), 1.0, 1.0), (1.0, 1.0, -float("inf"))]:
         with pytest.raises(ConfigError, match="finite"):
             optimize_split(img, bad)
+
+
+def test_optimize_split_rejects_weights_whose_sum_overflows():
+    # Each weight is finite, but the aggregate of a split could overflow.
+    rng = np.random.default_rng(10)
+    img = GrayImage.from_array(rng.integers(110, 146, size=(32, 32), dtype=np.uint8))
+    with pytest.raises(ConfigError, match="finite sum"):
+        optimize_split(img, (1e308, 1e308, 1e308))
+    assert optimize_split(img, (1e307, 1e307, 1e307))[1].aggregate < float("inf")
 
 
 def test_enhance_raises_low_contrast_std():

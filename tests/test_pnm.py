@@ -61,6 +61,14 @@ def test_truncated_header(tmp_path):
         read_pnm(str(path))
 
 
+def test_non_decimal_header_fields(tmp_path):
+    path = tmp_path / "n.pgm"
+    for header in (b"P5\n+4 1\n255\n", b"P5\n4 1_0\n255\n", b"P5\n-3 4\n255\n"):
+        path.write_bytes(header + bytes(40))
+        with pytest.raises(DataError, match="bad PNM header field"):
+            read_pnm(str(path))
+
+
 def test_bad_dimensions(tmp_path):
     path = tmp_path / "d.pgm"
     path.write_bytes(b"P5\n0 4\n255\n")
